@@ -5,7 +5,8 @@ built on top.
 Layers, bottom up:
 
 - scalars / linalg: exact Gaussian-rational and tolerance-aware float
-  arithmetic, canonical subspaces, polynomial invariants;
+  arithmetic, canonical subspaces, polynomial invariants; linalg is the
+  only layer that chooses between the two backends;
 - algebra: algebra closure, orbits, cyclicity certificates, randomized
   search with sound negative verdicts;
 - hautus: rank-drop locus, Lie closure, solvability, combined verdicts;

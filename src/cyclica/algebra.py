@@ -19,14 +19,15 @@ import numpy as np
 
 from .linalg import (
     EXACT,
-    FLOAT,
     Matrix,
     SpanBuilder,
     Subspace,
     annihilator,
+    field_tol,
+    is_negligible,
     min_poly,
 )
-from .scalars import DEFAULT_TOL, QQi
+from .scalars import QQi
 
 
 class GeneratorSet:
@@ -45,7 +46,7 @@ class GeneratorSet:
                 raise ValueError(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
         self.n = n
         self.gens = tuple(gens)
-        self.tol = tol or (DEFAULT_TOL if self.backend == FLOAT else None)
+        self.tol = tol or field_tol(self.backend)
 
     @property
     def m(self):
@@ -55,7 +56,7 @@ class GeneratorSet:
         return GeneratorSet(self.n, [g.T for g in self.gens], tol=self.tol)
 
     def to_float(self, tol=None):
-        tol = tol or self.tol or DEFAULT_TOL
+        tol = tol or self.tol
         return GeneratorSet(self.n, [g.to_float(tol) for g in self.gens], tol=tol)
 
     def __repr__(self):
@@ -78,30 +79,34 @@ class AlgebraBasis:
         return self.span.contains(M.flatten())
 
 
-def closure(G: GeneratorSet) -> AlgebraBasis:
-    """Span of all words in the generators, including the empty word."""
-    n = G.n
-    sb = SpanBuilder(n * n, G.backend, G.tol)
-    members = []
+def _stabilize(sb: SpanBuilder, seeds, gens, step, coords):
+    """Grow the span sb until it is closed under x -> step(A, x) for every
+    generator A; coords(x) is the vector that enters the span for x.
 
-    def admit(M):
-        if sb.add(M.flatten()):
-            members.append(M)
-            return True
-        return False
-
-    frontier = []
-    for M in [Matrix.identity(n, G.backend, G.tol), *G.gens]:
-        if admit(M):
-            frontier.append(M)
+    Returns the elements that enlarged the span, in insertion order: the
+    seeds first, then each round's images generator-major (for A in gens:
+    for x in frontier).  That order is part of the output of closure, whose
+    basis the randomized probes in decomp are drawn over.
+    """
+    frontier = [x for x in seeds if sb.add(coords(x))]
+    members = list(frontier)
     while frontier:
         new = []
-        for A in G.gens:
-            for M in frontier:
-                P = A @ M
-                if admit(P):
-                    new.append(P)
+        for A in gens:
+            for x in frontier:
+                y = step(A, x)
+                if sb.add(coords(y)):
+                    new.append(y)
+        members.extend(new)
         frontier = new
+    return members
+
+
+def closure(G: GeneratorSet) -> AlgebraBasis:
+    """Span of all words in the generators, including the empty word."""
+    sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
+    seeds = [Matrix.identity(G.n, G.backend, G.tol), *G.gens]
+    members = _stabilize(sb, seeds, G.gens, lambda A, M: A @ M, Matrix.flatten)
     return AlgebraBasis(G, tuple(members), sb.subspace())
 
 
@@ -110,18 +115,7 @@ def orbit(G: GeneratorSet, B: Subspace) -> Subspace:
     if B.ambient_dim != G.n:
         raise ValueError("subspace ambient dimension does not match generators")
     sb = SpanBuilder(G.n, G.backend, G.tol)
-    frontier = []
-    for v in B.basis:
-        if sb.add(v):
-            frontier.append(v)
-    while frontier:
-        new = []
-        for A in G.gens:
-            for v in frontier:
-                w = A.apply(v)
-                if sb.add(w):
-                    new.append(w)
-        frontier = new
+    _stabilize(sb, B.basis, G.gens, Matrix.apply, lambda v: v)
     return sb.subspace()
 
 
@@ -196,18 +190,11 @@ def _witness_orbit(G, witness):
 
 
 def _vec_is_zero(v, G):
-    if G.backend == EXACT:
-        return all(x.is_zero() for x in v)
-    tol = G.tol or DEFAULT_TOL
-    return bool(np.max(np.abs(v)) <= tol.tau_rank) if len(v) else True
+    return is_negligible(v, G.backend, G.tol)
 
 
 def _pairing_is_zero(p, v, G):
-    if G.backend == EXACT:
-        s = sum((a * b for a, b in zip(p, v)), QQi(0))
-        return s.is_zero()
-    tol = G.tol or DEFAULT_TOL
-    return abs(np.dot(np.asarray(p), np.asarray(v))) <= 100 * tol.tau_rank
+    return is_negligible([np.dot(np.asarray(p), np.asarray(v))], G.backend, G.tol, 100)
 
 
 def is_cyclic_vector(G: GeneratorSet, b) -> CyclicityCertificate:
@@ -238,11 +225,9 @@ def is_transitive(G: GeneratorSet) -> bool:
 
 def single_generator_cyclic(A: Matrix) -> bool:
     """A single-generator algebra has a cyclic vector iff the minimal
-    polynomial has full degree."""
+    polynomial has full degree.  Exact backend only, as min_poly is."""
     if A.rows != A.cols:
         raise ValueError("generator must be square")
-    if A.backend != EXACT:
-        raise ValueError("single-generator test requires the exact backend")
     return min_poly(A).degree == A.rows
 
 
@@ -284,8 +269,7 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertifica
     if trials < 1:
         raise ValueError("need at least one trial")
     if G.n == 1:
-        one = (QQi(1),) if G.backend == EXACT else np.ones(1, dtype=complex)
-        return is_cyclic_vector(G, one)
+        return is_cyclic_vector(G, Matrix.identity(1, G.backend, G.tol).row(0))
     for t in range(trials):
         rng = _trial_rng(seed, t)
         b = sample_vector(G, rng)

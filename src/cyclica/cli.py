@@ -6,7 +6,9 @@ or an inline literal); reports are JSON objects embedding the full
 configuration, so a report can be reproduced byte for byte from itself.
 
 Exit codes: 0 for definite verdicts (including proven negatives), 2 for
-"could not decide", 1 for input errors.
+"could not decide" (status "inconclusive"), 1 for input errors, and 3 when
+``cyclica corpus`` finds a case whose result differs from the frozen
+expected one (status "failed").
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .scalars import ToleranceContext
 from .serialize import SCHEMA, SchemaError
 
 DEFAULT_TRIALS = 64
+EXIT_CODES = {"ok": 0, "inconclusive": 2, "failed": 3}
 
 
 def build_parser():
@@ -282,7 +285,7 @@ def run_corpus(config):
             "pass": passed,
             "got": report["result"] if not passed else None,
         })
-    return {"cases": results, "all_pass": all_pass}, ("ok" if all_pass else "inconclusive")
+    return {"cases": results, "all_pass": all_pass}, ("ok" if all_pass else "failed")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if report["status"] == "ok" else 2
+    return EXIT_CODES[report["status"]]
 
 
 if __name__ == "__main__":

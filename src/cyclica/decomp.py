@@ -20,7 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GeneratorSet, closure, find_cyclic_vector, is_cyclic_vector, orbit, vector_orbit
+from .algebra import (
+    GeneratorSet,
+    _trial_rng,
+    closure,
+    find_cyclic_vector,
+    is_cyclic_vector,
+    sample_vector,
+    vector_orbit,
+)
 from .linalg import (
     EXACT,
     FLOAT,
@@ -29,11 +37,12 @@ from .linalg import (
     Subspace,
     annihilator,
     eigenvalues,
+    is_negligible,
     kernel,
     min_poly,
     rank,
 )
-from .scalars import DEFAULT_TOL, QQI_ONE, QQI_ZERO, QQi
+from .scalars import QQi
 
 
 class InconclusiveError(RuntimeError):
@@ -43,12 +52,6 @@ class InconclusiveError(RuntimeError):
 # ---------------------------------------------------------------------------
 # invariant subspace search
 # ---------------------------------------------------------------------------
-
-
-def _rng(seed, index):
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
-    )
 
 
 def _factor_exact(p: Polynomial):
@@ -78,11 +81,6 @@ def _factor_exact(p: Polynomial):
         out.append(Polynomial(qq, EXACT))
     out.sort(key=lambda q: (q.degree, str([str(c) for c in q.coeffs])))
     return out
-
-
-def _standard_vectors(n, backend, tol):
-    eye = Matrix.identity(n, backend, tol)
-    return eye.row_vectors()
 
 
 def _proper(S: Subspace):
@@ -124,7 +122,7 @@ def _eigen_probes_exact(G, G_t, R):
 
 
 def _eigen_probes_float(G, G_t, R):
-    tol = G.tol or DEFAULT_TOL
+    tol = G.tol
     for lam, _mult in eigenvalues(R, tol):
         shifted = Matrix(R.to_float().data - lam * np.eye(G.n), FLOAT, tol=tol)
         for v in kernel(shifted).basis:
@@ -139,13 +137,14 @@ def _eigen_probes_float(G, G_t, R):
 
 
 def _random_algebra_element(basis_matrices, rng, backend, tol):
+    """Small-integer (exact) or standard normal (float) combination."""
     n = basis_matrices[0].rows
     acc = Matrix.zeros(n, n, backend, tol)
     for M in basis_matrices:
         if backend == EXACT:
-            c = QQi(int(rng.integers(-3, 4)))
+            c = int(rng.integers(-3, 4))
         else:
-            c = complex(rng.standard_normal())
+            c = rng.standard_normal()
         acc = acc + M.scale(c)
     return acc
 
@@ -167,11 +166,12 @@ def find_invariant_subspace(G: GeneratorSet, retries=20, seed=0):
         return None  # 1-dimensional module has no proper nonzero subspace
     G_t = G.transposed()
     # orbits of coordinate vectors, both sides
-    for v in _standard_vectors(n, G.backend, G.tol):
+    coordinate = Matrix.identity(n, G.backend, G.tol).row_vectors()
+    for v in coordinate:
         hit = _probe_vector(G, v)
         if hit is not None:
             return hit
-    for p in _standard_vectors(n, G.backend, G.tol):
+    for p in coordinate:
         hit = _probe_dual_vector(G_t, p)
         if hit is not None:
             return hit
@@ -181,27 +181,20 @@ def find_invariant_subspace(G: GeneratorSet, retries=20, seed=0):
         for B in G.gens:
             probes.append(A @ B)
     for t in range(retries):
-        rng = _rng(seed, t)
+        rng = _trial_rng(seed, t)
         probes.append(_random_algebra_element(cl.matrices, rng, G.backend, G.tol))
+    eigen_probes = _eigen_probes_exact if G.backend == EXACT else _eigen_probes_float
     seen = set()
-    for idx, R in enumerate(probes):
-        key = R if G.backend == EXACT else idx
-        if key in seen:
-            continue
-        seen.add(key)
-        if G.backend == EXACT:
-            hit = _eigen_probes_exact(G, G_t, R)
-        else:
-            hit = _eigen_probes_float(G, G_t, R)
+    for R in probes:
+        if R in seen:
+            continue  # equal probes give equal answers
+        seen.add(R)
+        hit = eigen_probes(G, G_t, R)
         if hit is not None:
             return hit
     # random vectors on both sides
     for t in range(retries):
-        rng = _rng(seed, 10_000 + t)
-        if G.backend == EXACT:
-            v = tuple(QQi(int(x)) for x in rng.integers(-5, 6, size=n))
-        else:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = sample_vector(G, _trial_rng(seed, 10_000 + t))
         hit = _probe_vector(G, v)
         if hit is not None:
             return hit
@@ -244,33 +237,26 @@ class BlockTriangularForm:
 
     def lower_blocks_vanish(self):
         offs = self.offsets()
-        tol = (self.generators.tol or DEFAULT_TOL).tau_rank
         for T in self.transformed:
             for i in range(1, self.k):
-                blk = T.block(offs[i], offs[-1], 0, offs[i])
-                if self.generators.backend == EXACT:
-                    if not blk.is_zero():
-                        return False
-                else:
-                    if blk.rows and blk.cols and np.max(np.abs(blk.data)) > 100 * tol:
-                        return False
+                if not _block_vanishes(T.block(offs[i], offs[-1], 0, offs[i]), self.generators):
+                    return False
         return True
+
+
+def _block_vanishes(blk: Matrix, G: GeneratorSet) -> bool:
+    """Zero exactly, or within 100 tau_rank of the generators' tolerance."""
+    return is_negligible(blk.flatten(), G.backend, G.tol, 100)
 
 
 def _completion_basis(W: Subspace):
     """Columns: the subspace basis followed by unit vectors at free
     coordinates; always invertible."""
     n = W.ambient_dim
-    pivots = set()
-    for row in W.basis:
-        if W.backend == EXACT:
-            pivots.add(next(j for j, x in enumerate(row) if not x.is_zero()))
-        else:
-            pivots.add(int(np.argmax(np.abs(np.asarray(row) - 1.0) < 1e-12)))
     cols = list(W.basis)
     eye = Matrix.identity(n, W.backend, W.tol)
     for j in range(n):
-        if j not in pivots:
+        if j not in W.pivots:
             cols.append(eye.row(j))
     return Matrix.from_cols(cols, W.backend, tol=W.tol)
 
@@ -338,23 +324,12 @@ def _intertwiner(family_a, family_b, backend, tol):
     invertible; invertibility is verified anyway.
     """
     d = family_a[0].rows
-    rows = []
-    for A, B in zip(family_a, family_b):
-        for r in range(d):
-            for c in range(d):
-                # coefficient of X[p][q] in (X A - B X)[r][c]
-                coeff = {}
-                for q in range(d):
-                    coeff[(r, q)] = coeff.get((r, q), _zero(backend)) + A.entry(q, c)
-                for p in range(d):
-                    coeff[(p, c)] = coeff.get((p, c), _zero(backend)) - B.entry(r, p)
-                row = [_zero(backend)] * (d * d)
-                for (p, q), val in coeff.items():
-                    row[p * d + q] = row[p * d + q] + val
-                rows.append(row)
-    M = Matrix.from_rows(rows, backend, tol=tol) if backend == EXACT else Matrix(
-        np.array(rows, dtype=np.complex128), FLOAT, tol=tol
-    )
+    eye = Matrix.identity(d, backend, tol)
+    zero = Matrix.zeros(d * d, d * d, backend, tol)
+    # X A - B X flattened row-major is (I (x) A^T - B (x) I) vec(X), stacked
+    # over the family; adding onto zeros keeps float zeros unsigned
+    blocks = [zero + eye.kron(A.T) - B.kron(eye) for A, B in zip(family_a, family_b)]
+    M = Matrix.from_rows([r for blk in blocks for r in blk.row_vectors()], backend, tol)
     K = kernel(M)
     if K.dim == 0:
         return None
@@ -362,10 +337,6 @@ def _intertwiner(family_a, family_b, backend, tol):
     if rank(X) < d:
         return None
     return X
-
-
-def _zero(backend):
-    return QQI_ZERO if backend == EXACT else 0j
 
 
 def classify_blocks(btf: BlockTriangularForm) -> IsotypicSummary:
@@ -409,14 +380,10 @@ def multiplicity_condition(summary: IsotypicSummary) -> bool:
 
 def is_block_diagonal(btf: BlockTriangularForm) -> bool:
     offs = btf.offsets()
-    tol = (btf.generators.tol or DEFAULT_TOL).tau_rank
     for T in btf.transformed:
         for i in range(btf.k):
             blk = T.block(offs[i], offs[i + 1], offs[i + 1], offs[-1])
-            if btf.generators.backend == EXACT:
-                if not blk.is_zero():
-                    return False
-            elif blk.rows and blk.cols and np.max(np.abs(blk.data)) > 100 * tol:
+            if not _block_vanishes(blk, btf.generators):
                 return False
     return True
 
@@ -443,27 +410,13 @@ def construct_cyclic_vector(btf: BlockTriangularForm, summary: IsotypicSummary,
             "its block dimension"
         )
     G = btf.generators
-    n = G.n
-    backend = G.backend
-    offs = btf.offsets()
-    if backend == EXACT:
-        x_new = [QQI_ZERO] * n
-    else:
-        x_new = np.zeros(n, dtype=np.complex128)
+    components = {}  # block index -> its part of the vector in the new basis
     for cls in summary.classes:
-        d = cls.block_dim
+        model = Matrix.identity(cls.block_dim, G.backend, G.tol)
         for j, member in enumerate(sorted(cls.members)):
             T_inv = cls.intertwiners[member].inverse()
-            model = [_zero(backend)] * d
-            model[j] = QQI_ONE if backend == EXACT else 1.0 + 0j
-            comp = T_inv.apply(tuple(model) if backend == EXACT else np.asarray(model))
-            a = offs[member]
-            for t in range(d):
-                if backend == EXACT:
-                    x_new[a + t] = comp[t]
-                else:
-                    x_new[a + t] = comp[t]
-    x = btf.change_of_basis.apply(tuple(x_new) if backend == EXACT else x_new)
+            components[member] = T_inv.apply(model.row(j))
+    x = btf.change_of_basis.apply([c for i in range(btf.k) for c in components[i]])
     cert = is_cyclic_vector(G, x)
     if cert.is_cyclic:
         return x

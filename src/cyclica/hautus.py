@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import EXACT, FLOAT, Matrix, SpanBuilder, Subspace, cluster_values, intersect, kernel
+from .algebra import _stabilize
+from .linalg import EXACT, Matrix, SpanBuilder, Subspace, cluster_values, intersect, kernel
 from .linalg import char_poly as _char_poly
 from .scalars import DEFAULT_TOL, QQi
 
@@ -111,14 +112,10 @@ def generator_spectrum(A: Matrix, tol=None):
     return out, False
 
 
-def _shifted_left_kernel(A: Matrix, mu, exact):
-    """Covectors p with p(A - mu I) = 0, i.e. the kernel of (A - mu I)^T."""
-    n = A.rows
-    if exact and A.backend == EXACT:
-        shifted = A - Matrix.identity(n, EXACT).scale(mu)
-        return kernel(shifted.T)
-    Af = A.to_float()
-    shifted = Matrix(Af.data - complex(mu) * np.eye(n), FLOAT, tol=Af.tol or DEFAULT_TOL)
+def _shifted_left_kernel(A: Matrix, mu):
+    """Covectors p with p(A - mu I) = 0, i.e. the kernel of (A - mu I)^T,
+    in the arithmetic of A."""
+    shifted = A - Matrix.identity(A.rows, A.backend, A.tol).scale(mu)
     return kernel(shifted.T)
 
 
@@ -144,24 +141,17 @@ def rank_drop_locus(G) -> RankDropLocus:
     # left-kernels once per (generator, candidate), in both arithmetics
     exact_kernels = []
     float_kernels = []
-    for j, spec in enumerate(spectra):
-        ek, fk = [], []
-        for value, _mult, is_exact in spec:
-            fk.append(_shifted_left_kernel(G.gens[j], value, exact=False))
-            ek.append(
-                _shifted_left_kernel(G.gens[j], value, exact=True)
-                if (is_exact and G.backend == EXACT)
-                else None
-            )
-        exact_kernels.append(ek)
-        float_kernels.append(fk)
+    for A, spec in zip(G.gens, spectra):
+        Af = A.to_float()
+        float_kernels.append([_shifted_left_kernel(Af, value) for value, _, _ in spec])
+        # only exact generators have exactly verified eigenvalues
+        exact_kernels.append([_shifted_left_kernel(A, value) if is_exact else None
+                              for value, _, is_exact in spec])
 
     entries = []
     numeric_used = False
     for combo in itertools.product(*(range(len(s)) for s in spectra)):
-        all_exact = G.backend == EXACT and all(
-            exact_kernels[j][idx] is not None for j, idx in enumerate(combo)
-        )
+        all_exact = all(exact_kernels[j][idx] is not None for j, idx in enumerate(combo))
         kernels = exact_kernels if all_exact else float_kernels
         P = None
         for j, idx in enumerate(combo):
@@ -215,28 +205,8 @@ def _bracket(A, B):
 
 def lie_closure(G) -> LieClosure:
     """Lie algebra generated by the operators, via bracket stabilization."""
-    n = G.n
-    sb = SpanBuilder(n * n, G.backend, G.tol)
-    members = []
-
-    def admit(M):
-        if sb.add(M.flatten()):
-            members.append(M)
-            return True
-        return False
-
-    frontier = []
-    for A in G.gens:
-        if admit(A):
-            frontier.append(A)
-    while frontier:
-        new = []
-        for A in G.gens:
-            for M in frontier:
-                C = _bracket(A, M)
-                if admit(C):
-                    new.append(C)
-        frontier = new
+    sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
+    members = _stabilize(sb, G.gens, G.gens, _bracket, Matrix.flatten)
     L = LieClosure(G, tuple(members), sb.subspace())
     L.derived_dims = _derived_series_dims(L, G)
     return L

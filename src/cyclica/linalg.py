@@ -1,9 +1,16 @@
-"""Field-generic dense linear algebra over two scalar backends.
+"""Dense linear algebra over two scalar fields, and the one place that
+decides between them.
 
 The exact backend works over the Gaussian rationals and decides rank, span
 and divisibility questions with no tolerance at all.  The float backend
 works over complex128 and pushes every such decision through an explicit
 :class:`~cyclica.scalars.ToleranceContext`.
+
+Everything above this module builds matrices, vectors and scalars through
+the constructors here (:class:`Matrix`, :func:`vector`, :func:`scalar`) and
+tests for zero with :func:`is_negligible`, so the choice of field is made
+in this module: coercion, zero and pivot tests, elimination versus SVD in
+``rank``/``kernel``, ``inverse``, ``char_poly``, ``min_poly`` and hashing.
 
 Subspaces are kept in a canonical form (reduced row echelon, pivots
 normalized to 1, zero rows dropped) so two subspaces are equal exactly when
@@ -19,6 +26,9 @@ from .scalars import DEFAULT_TOL, QQI_ONE, QQI_ZERO, QQi, ToleranceContext, as_q
 EXACT = "exact"
 FLOAT = "float"
 
+# array dtype of each backend: QQi objects or complex128
+_DTYPE = {EXACT: object, FLOAT: np.complex128}
+
 
 class BackendMixError(TypeError):
     """Raised when exact and float objects meet in one operation."""
@@ -31,11 +41,71 @@ def _same_backend(*objs):
     return backends.pop()
 
 
-def _merge_tol(*objs):
-    for o in objs:
-        if getattr(o, "tol", None) is not None:
-            return o.tol
-    return DEFAULT_TOL
+# ---------------------------------------------------------------------------
+# scalars, vectors and zero tests of each backend
+# ---------------------------------------------------------------------------
+
+
+def field_tol(backend, tol=None):
+    """The tolerance an object of this backend carries: tol or the default
+    on the float backend, None on the exact one."""
+    return (tol or DEFAULT_TOL) if backend == FLOAT else None
+
+
+def scalar(x, backend):
+    """x as a scalar of the backend: QQi (exact) or complex (float)."""
+    return as_qqi(x) if backend == EXACT else complex(x)
+
+
+def vector(entries, backend):
+    """Entries as a vector of the backend: a tuple of QQi (exact) or a new
+    complex128 array (float)."""
+    if backend == EXACT:
+        return tuple(as_qqi(x) for x in entries)
+    return np.array(entries, dtype=np.complex128)
+
+
+def is_negligible(values, backend, tol, scale=1.0):
+    """Whether every entry is zero: exactly on the exact backend, within
+    tol.tau_rank * scale in absolute value on the float backend."""
+    if backend == EXACT:
+        return all(x.is_zero() for x in values)
+    mags = np.abs(np.asarray(values, dtype=np.complex128))
+    return mags.size == 0 or bool(mags.max() <= tol.tau_rank * scale)
+
+
+def _full(shape, x, backend):
+    return np.full(shape, scalar(x, backend), dtype=_DTYPE[backend])
+
+
+def _array(data, backend, cols=None):
+    """Nested rows (or an array) as a 2-D array of the backend's dtype;
+    cols fixes the width when there are no rows."""
+    if backend not in _DTYPE:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == EXACT:
+        rows = [[as_qqi(x) for x in row] for row in data]
+        ncols = len(rows[0]) if rows else (cols or 0)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix data")
+        arr = np.empty((len(rows), ncols), dtype=object)
+        if rows:
+            arr[...] = rows
+        return arr
+    arr = np.array(data, dtype=np.complex128)
+    if arr.ndim == 1 and arr.size == 0:
+        arr = arr.reshape(0, cols or 0)
+    if arr.ndim != 2:
+        raise ValueError("matrix data must be two-dimensional")
+    return arr
+
+
+def _product(a, b, backend):
+    """a @ b; an empty inner dimension gives zeros of the backend (numpy
+    would fill an object array with the int 0)."""
+    if a.shape[-1] == 0:
+        return _full(a.shape[:-1] + b.shape[1:], 0, backend)
+    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -44,35 +114,34 @@ def _merge_tol(*objs):
 
 
 class Matrix:
-    """Dense rows x cols matrix over one backend.
+    """Dense rows x cols matrix over one backend.  Instances are immutable.
 
-    Exact entries are QQi stored in nested tuples; float entries are a
-    read-only complex128 array.  Instances are immutable.
+    ``data`` is a read-only 2-D numpy array for both backends: dtype object
+    holding QQi entries on the exact backend, complex128 on the float
+    backend, so arithmetic, slicing and comparison have one code path.
+    Entries come back as QQi or complex128 scalars; rows, columns, matrix
+    images and flattenings as :func:`vector` values.
     """
 
     __slots__ = ("rows", "cols", "backend", "data", "tol")
 
     def __init__(self, data, backend, tol=None, cols=None):
-        if backend == EXACT:
-            rows = tuple(tuple(as_qqi(x) for x in row) for row in data)
-            ncols = len(rows[0]) if rows else (cols or 0)
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged matrix data")
-            object.__setattr__(self, "data", rows)
-            object.__setattr__(self, "rows", len(rows))
-            object.__setattr__(self, "cols", ncols)
-        elif backend == FLOAT:
-            arr = np.array(data, dtype=np.complex128)
-            if arr.ndim != 2:
-                raise ValueError("matrix data must be two-dimensional")
-            arr.setflags(write=False)
-            object.__setattr__(self, "data", arr)
-            object.__setattr__(self, "rows", arr.shape[0])
-            object.__setattr__(self, "cols", arr.shape[1])
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        self._set(_array(data, backend, cols), backend, tol)
+
+    def _set(self, arr, backend, tol):
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "rows", arr.shape[0])
+        object.__setattr__(self, "cols", arr.shape[1])
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "tol", tol if backend == FLOAT else None)
+        object.__setattr__(self, "tol", field_tol(backend, tol))
+
+    @classmethod
+    def _wrap(cls, arr, backend, tol):
+        """A Matrix around an array already of the backend's dtype."""
+        self = object.__new__(cls)
+        self._set(arr, backend, tol)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -85,28 +154,21 @@ class Matrix:
 
     @classmethod
     def from_float(cls, data, tol=None):
-        return cls(data, FLOAT, tol=tol or DEFAULT_TOL)
+        return cls(data, FLOAT, tol=tol)
 
     @classmethod
     def identity(cls, n, backend=EXACT, tol=None):
-        if backend == EXACT:
-            return cls(
-                [[QQI_ONE if i == j else QQI_ZERO for j in range(n)] for i in range(n)],
-                EXACT,
-            )
-        return cls(np.eye(n), FLOAT, tol=tol or DEFAULT_TOL)
+        arr = _full((n, n), 0, backend)
+        np.fill_diagonal(arr, scalar(1, backend))
+        return cls._wrap(arr, backend, tol)
 
     @classmethod
     def zeros(cls, rows, cols, backend=EXACT, tol=None):
-        if backend == EXACT:
-            return cls([[QQI_ZERO] * cols for _ in range(rows)], EXACT, cols=cols)
-        return cls(np.zeros((rows, cols)), FLOAT, tol=tol or DEFAULT_TOL)
+        return cls._wrap(_full((rows, cols), 0, backend), backend, tol)
 
     @classmethod
     def from_rows(cls, vectors, backend, tol=None):
-        if backend == EXACT:
-            return cls([list(v) for v in vectors], EXACT)
-        return cls(np.array([np.asarray(v) for v in vectors]), FLOAT, tol=tol)
+        return cls(list(vectors), backend, tol=tol)
 
     @classmethod
     def from_cols(cls, vectors, backend, tol=None):
@@ -115,80 +177,55 @@ class Matrix:
     # -- element access -----------------------------------------------------
 
     def entry(self, i, j):
-        return self.data[i][j] if self.backend == EXACT else self.data[i, j]
+        return self.data[i, j]
 
     def row(self, i):
-        return self.data[i] if self.backend == EXACT else self.data[i].copy()
+        return vector(self.data[i], self.backend)
 
     def col(self, j):
-        if self.backend == EXACT:
-            return tuple(r[j] for r in self.data)
-        return self.data[:, j].copy()
+        return vector(self.data[:, j], self.backend)
 
     def row_vectors(self):
         return [self.row(i) for i in range(self.rows)]
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check(self, other):
-        _same_backend(self, other)
+    def _like(self, arr):
+        return Matrix._wrap(arr, self.backend, self.tol)
 
     def __add__(self, other):
-        self._check(other)
+        _same_backend(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        if self.backend == EXACT:
-            return Matrix(
-                [
-                    [a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)
-                ],
-                EXACT,
-            )
-        return Matrix(self.data + other.data, FLOAT, tol=_merge_tol(self, other))
+        return self._like(self.data + other.data)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.backend == EXACT:
-            return Matrix([[-a for a in row] for row in self.data], EXACT)
-        return Matrix(-self.data, FLOAT, tol=self.tol)
+        return self._like(-self.data)
 
     def scale(self, s):
-        if self.backend == EXACT:
-            s = as_qqi(s)
-            return Matrix([[s * a for a in row] for row in self.data], EXACT)
-        return Matrix(complex(s) * self.data, FLOAT, tol=self.tol)
+        return self._like(self.data * scalar(s, self.backend))
 
     def __matmul__(self, other):
-        self._check(other)
+        _same_backend(self, other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.backend == EXACT:
-            bt = list(zip(*other.data)) if other.data else []
-            out = [
-                [
-                    sum((a * b for a, b in zip(row, colt)), QQI_ZERO)
-                    for colt in bt
-                ]
-                for row in self.data
-            ]
-            return Matrix(out, EXACT)
-        return Matrix(self.data @ other.data, FLOAT, tol=_merge_tol(self, other))
+        return self._like(_product(self.data, other.data, self.backend))
 
     def apply(self, vec):
         """Matrix-vector product."""
-        if self.backend == EXACT:
-            return tuple(
-                sum((a * x for a, x in zip(row, vec)), QQI_ZERO) for row in self.data
-            )
-        return self.data @ np.asarray(vec, dtype=np.complex128)
+        v = np.asarray(vec, dtype=self.data.dtype)
+        return vector(_product(self.data, v, self.backend), self.backend)
+
+    def kron(self, other):
+        """Kronecker product."""
+        _same_backend(self, other)
+        return self._like(np.kron(self.data, other.data))
 
     def transpose(self):
-        if self.backend == EXACT:
-            return Matrix(list(zip(*self.data)) if self.data else [], EXACT)
-        return Matrix(self.data.T.copy(), FLOAT, tol=self.tol)
+        return self._like(self.data.T.copy())
 
     @property
     def T(self):
@@ -197,75 +234,50 @@ class Matrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        if self.backend == EXACT:
-            return sum((self.data[i][i] for i in range(self.rows)), QQI_ZERO)
-        return complex(np.trace(self.data))
+        return scalar(np.trace(self.data), self.backend)
 
     def is_zero(self):
-        if self.backend == EXACT:
-            return all(x.is_zero() for row in self.data for x in row)
-        tol = self.tol or DEFAULT_TOL
-        return bool(np.all(np.abs(self.data) <= tol.tau_rank))
+        return is_negligible(self.data.ravel(), self.backend, self.tol)
 
     def flatten(self):
         """Row-major flattening into an ambient rows*cols vector."""
-        if self.backend == EXACT:
-            return tuple(x for row in self.data for x in row)
-        return self.data.reshape(-1).copy()
+        return vector(self.data.ravel(), self.backend)
 
     @classmethod
     def unflatten(cls, vec, rows, cols, backend, tol=None):
-        if backend == EXACT:
-            vec = list(vec)
-            return cls([vec[i * cols : (i + 1) * cols] for i in range(rows)], EXACT)
-        return cls(np.asarray(vec).reshape(rows, cols), FLOAT, tol=tol)
+        return cls([vec[i * cols : (i + 1) * cols] for i in range(rows)], backend,
+                   tol=tol, cols=cols)
 
     def block(self, r0, r1, c0, c1):
         """Submatrix with rows r0:r1 and columns c0:c1."""
-        if self.backend == EXACT:
-            return Matrix(
-                [row[c0:c1] for row in self.data[r0:r1]], EXACT, cols=c1 - c0
-            )
-        return Matrix(self.data[r0:r1, c0:c1], FLOAT, tol=self.tol)
+        return self._like(self.data[r0:r1, c0:c1].copy())
 
     @classmethod
     def block_diag(cls, blocks, backend=None, tol=None):
         blocks = list(blocks)
         backend = backend or blocks[0].backend
         n = sum(b.rows for b in blocks)
-        if backend == EXACT:
-            out = [[QQI_ZERO] * n for _ in range(n)]
-        else:
-            out = np.zeros((n, n), dtype=np.complex128)
+        out = _full((n, n), 0, backend)
         at = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    if backend == EXACT:
-                        out[at + i][at + j] = b.entry(i, j)
-                    else:
-                        out[at + i, at + j] = b.entry(i, j)
+            out[at : at + b.rows, at : at + b.cols] = b.data
             at += b.rows
-        return cls(out, backend, tol=tol or (blocks[0].tol if backend == FLOAT else None))
+        return cls._wrap(out, backend, tol or blocks[0].tol)
 
     def to_float(self, tol=None):
         if self.backend == FLOAT:
             return self
-        return Matrix(
-            [[complex(x) for x in row] for row in self.data],
-            FLOAT,
-            tol=tol or DEFAULT_TOL,
-        )
+        return Matrix(self.data, FLOAT, tol=tol)
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         if self.backend == FLOAT:
-            return Matrix(np.linalg.inv(self.data), FLOAT, tol=self.tol)
+            return self._like(np.linalg.inv(self.data))
         # Gauss-Jordan on [A | I]
         aug = [list(row) + [QQI_ONE if i == j else QQI_ZERO for j in range(n)]
-               for i, row in enumerate(self.data)]
+               for i, row in enumerate(self.row_vectors())]
         for c in range(n):
             piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
             if piv is None:
@@ -277,33 +289,25 @@ class Matrix:
                 if r != c and not aug[r][c].is_zero():
                     f = aug[r][c]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        return Matrix([row[n:] for row in aug], EXACT)
+        return Matrix([row[n:] for row in aug], EXACT, cols=n)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.backend != other.backend:
-            return False
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if self.backend == EXACT:
-            return self.data == other.data
-        return bool(np.array_equal(self.data, other.data))
+        return self.backend == other.backend and bool(np.array_equal(self.data, other.data))
 
     def __hash__(self):
-        if self.backend == EXACT:
-            return hash(self.data)
-        return hash(self.data.tobytes())
+        # equal entries hash alike on both backends (complex hashing ignores
+        # the sign of zero, as array_equal does)
+        return hash((self.data.shape, tuple(self.data.ravel().tolist())))
 
     def allclose(self, other, atol=1e-9):
         a, b = self.to_float(), other.to_float()
         return bool(np.allclose(a.data, b.data, atol=atol))
 
     def __repr__(self):
-        if self.backend == EXACT:
-            body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-            return f"Matrix[{self.rows}x{self.cols} exact: {body}]"
-        return f"Matrix[{self.rows}x{self.cols} float]\n{self.data}"
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        return f"Matrix[{self.rows}x{self.cols} {self.backend}: {body}]"
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +315,20 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _vec_backend_zero(ambient, backend):
-    if backend == EXACT:
-        return (QQI_ZERO,) * ambient
-    return np.zeros(ambient, dtype=np.complex128)
-
-
 class SpanBuilder:
     """Incrementally maintained reduced row echelon span.
 
     Rows are kept fully reduced and pivot-normalized at all times, so the
     basis is canonical after every insertion and membership tests are a
-    single reduction pass.
+    single reduction pass.  Exact rows are tuples of QQi reduced by a loop
+    over Python sequences (faster than object arrays at these sizes);
+    float rows are complex arrays.
     """
 
     def __init__(self, ambient, backend, tol=None):
         self.ambient = ambient
         self.backend = backend
-        self.tol = tol if backend == FLOAT else None
+        self.tol = field_tol(backend, tol)
         self.rows = []  # list of vectors, sorted by pivot column
         self.pivots = []  # pivot column of each row
 
@@ -351,27 +351,24 @@ class SpanBuilder:
             v = v - v[p] * row
         return v
 
-    def _pivot_of(self, v, scale):
+    def _pivot_of(self, v, vec):
+        """Pivot column of the residual v of vec, or None when v is zero:
+        exactly, or within tau_rank relative to vec's largest entry."""
         if self.backend == EXACT:
-            for j, x in enumerate(v):
-                if not x.is_zero():
-                    return j
-            return None
-        tol = self.tol or DEFAULT_TOL
+            return next((j for j, x in enumerate(v) if not x.is_zero()), None)
         mags = np.abs(v)
+        if not mags.size:
+            return None
         j = int(np.argmax(mags))
-        if mags[j] <= tol.tau_rank * max(scale, 1.0):
+        scale = float(np.max(np.abs(np.asarray(vec))))
+        if mags[j] <= self.tol.tau_rank * max(scale, 1.0):
             return None
         return j
 
     def add(self, vec):
         """Insert vec's direction into the span; returns True if dim grew."""
-        if self.backend == EXACT:
-            scale = 1
-        else:
-            scale = float(np.max(np.abs(np.asarray(vec)))) if len(vec) else 0.0
         v = self._reduce(vec)
-        p = self._pivot_of(v, scale)
+        p = self._pivot_of(v, vec)
         if p is None:
             return False
         if self.backend == EXACT:
@@ -388,11 +385,11 @@ class SpanBuilder:
             self.rows = new_rows
         else:
             v = v / v[p]
-            v = np.where(np.abs(v) <= (self.tol or DEFAULT_TOL).tau_rank, 0.0, v)
+            v = np.where(np.abs(v) <= self.tol.tau_rank, 0.0, v)
             self.rows = [row - row[p] * v for row in self.rows]
         # insert keeping pivot order
         at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, v if self.backend == EXACT else v)
+        self.rows.insert(at, v)
         self.pivots.insert(at, p)
         return True
 
@@ -403,20 +400,11 @@ class SpanBuilder:
         return grew
 
     def contains(self, vec):
-        if self.backend == EXACT:
-            return all(x.is_zero() for x in self._reduce(vec))
-        v = np.asarray(vec, dtype=np.complex128)
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
-        if scale == 0.0:
-            return True
-        r = self._reduce(v)
-        tol = self.tol or DEFAULT_TOL
-        return bool(np.max(np.abs(r)) <= tol.tau_rank * max(scale, 1.0))
+        return self._pivot_of(self._reduce(vec), vec) is None
 
     def subspace(self):
         return Subspace._from_canonical(
-            self.ambient, list(self.rows), self.backend, self.tol,
-            pivots=list(self.pivots),
+            self.ambient, self.rows, self.backend, self.tol, self.pivots
         )
 
 
@@ -475,24 +463,12 @@ class Subspace:
         raise TypeError("use Subspace.from_vectors / zero / full")
 
     @classmethod
-    def _from_canonical(cls, ambient, rows, backend, tol, pivots=None):
+    def _from_canonical(cls, ambient, rows, backend, tol, pivots):
         self = object.__new__(cls)
         object.__setattr__(self, "ambient_dim", ambient)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "tol", tol if backend == FLOAT else None)
-        if backend == EXACT:
-            rows = tuple(tuple(r) for r in rows)
-        else:
-            rows = tuple(np.asarray(r, dtype=np.complex128) for r in rows)
-        object.__setattr__(self, "_rows", rows)
-        if pivots is None:
-            pivots = []
-            for r in rows:
-                if backend == EXACT:
-                    pivots.append(next(j for j, x in enumerate(r) if not x.is_zero()))
-                else:
-                    # pivot entries are normalized to exactly 1
-                    pivots.append(int(np.argmax(np.abs(np.asarray(r) - 1.0) < 1e-12)))
+        object.__setattr__(self, "tol", field_tol(backend, tol))
+        object.__setattr__(self, "_rows", tuple(vector(r, backend) for r in rows))
         object.__setattr__(self, "_pivots", tuple(pivots))
         return self
 
@@ -503,20 +479,17 @@ class Subspace:
     def from_vectors(cls, ambient, vectors, backend=EXACT, tol=None):
         sb = SpanBuilder(ambient, backend, tol)
         for v in vectors:
-            if backend == EXACT:
-                sb.add(tuple(as_qqi(x) for x in v))
-            else:
-                sb.add(np.asarray(v, dtype=np.complex128))
+            sb.add(vector(v, backend))
         return sb.subspace()
 
     @classmethod
     def zero(cls, ambient, backend=EXACT, tol=None):
-        return cls._from_canonical(ambient, [], backend, tol)
+        return cls._from_canonical(ambient, [], backend, tol, [])
 
     @classmethod
     def full(cls, ambient, backend=EXACT, tol=None):
         eye = Matrix.identity(ambient, backend, tol)
-        return cls._from_canonical(ambient, eye.row_vectors(), backend, tol)
+        return cls._from_canonical(ambient, eye.row_vectors(), backend, tol, range(ambient))
 
     @property
     def dim(self):
@@ -526,10 +499,13 @@ class Subspace:
     def basis(self):
         return self._rows
 
+    @property
+    def pivots(self):
+        """Pivot column of each basis row."""
+        return self._pivots
+
     def basis_matrix(self):
-        if self.dim == 0:
-            return Matrix.zeros(0, self.ambient_dim, self.backend, self.tol)
-        return Matrix.from_rows(self._rows, self.backend, tol=self.tol)
+        return Matrix(list(self._rows), self.backend, tol=self.tol, cols=self.ambient_dim)
 
     def builder(self):
         sb = SpanBuilder(self.ambient_dim, self.backend, self.tol)
@@ -568,7 +544,7 @@ class Subspace:
             return False
         if self.backend == EXACT:
             return self._rows == other._rows
-        tol = (self.tol or DEFAULT_TOL).tau_rank
+        tol = self.tol.tau_rank
         return all(
             bool(np.allclose(a, b, atol=10 * tol)) for a, b in zip(self._rows, other._rows)
         )
@@ -596,11 +572,10 @@ def rank(M: Matrix) -> int:
         sb = SpanBuilder(M.cols, EXACT)
         sb.add_all(M.row_vectors())
         return sb.dim
-    tol = M.tol or DEFAULT_TOL
     s = np.linalg.svd(M.data, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.tau_rank * s[0]))
+    return int(np.sum(s > M.tol.tau_rank * s[0]))
 
 
 def kernel(M: Matrix) -> Subspace:
@@ -618,14 +593,13 @@ def kernel(M: Matrix) -> Subspace:
                 v[p] = -row[f]
             basis.append(tuple(v))
         return Subspace.from_vectors(M.cols, basis, EXACT)
-    tol = M.tol or DEFAULT_TOL
     if M.rows == 0:
-        return Subspace.full(M.cols, FLOAT, tol)
+        return Subspace.full(M.cols, FLOAT, M.tol)
     u, s, vh = np.linalg.svd(M.data, full_matrices=True)
-    cutoff = tol.tau_rank * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = M.tol.tau_rank * (s[0] if s.size and s[0] > 0 else 1.0)
     r = int(np.sum(s > cutoff))
     return Subspace.from_vectors(M.cols, [vh[i].conj() for i in range(r, M.cols)],
-                                 FLOAT, tol)
+                                 FLOAT, M.tol)
 
 
 def annihilator(S: Subspace) -> Subspace:
@@ -656,16 +630,10 @@ class Polynomial:
     __slots__ = ("coeffs", "backend")
 
     def __init__(self, coeffs, backend=EXACT):
-        if backend == EXACT:
-            cs = [as_qqi(c) for c in coeffs]
-            while cs and cs[-1].is_zero():
-                cs.pop()
-            self.coeffs = tuple(cs)
-        else:
-            cs = [complex(c) for c in coeffs]
-            while cs and cs[-1] == 0:
-                cs.pop()
-            self.coeffs = tuple(cs)
+        cs = [scalar(c, backend) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
         self.backend = backend
 
     @property
@@ -678,22 +646,18 @@ class Polynomial:
     def coeff(self, k):
         if k < len(self.coeffs):
             return self.coeffs[k]
-        return QQI_ZERO if self.backend == EXACT else 0j
+        return scalar(0, self.backend)
 
     def monic(self):
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
-        if self.backend == EXACT:
-            inv = QQI_ONE / lead
-            return Polynomial([inv * c for c in self.coeffs], EXACT)
-        return Polynomial([c / lead for c in self.coeffs], FLOAT)
+        return Polynomial([c / lead for c in self.coeffs], self.backend)
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return Polynomial([], self.backend)
-        zero = QQI_ZERO if self.backend == EXACT else 0j
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [scalar(0, self.backend)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -730,17 +694,15 @@ class Polynomial:
             acc = Matrix.zeros(n, n, x.backend, x.tol)
             eye = Matrix.identity(n, x.backend, x.tol)
             for c in reversed(self.coeffs):
-                acc = (x @ acc) + eye.scale(c if x.backend == EXACT else complex(c))
+                acc = (x @ acc) + eye.scale(c)
             return acc
-        acc = QQI_ZERO if self.backend == EXACT else 0j
+        acc = scalar(0, self.backend)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def to_float(self):
-        if self.backend == FLOAT:
-            return self
-        return Polynomial([complex(c) for c in self.coeffs], FLOAT)
+        return Polynomial(self.coeffs, FLOAT)
 
     def roots(self):
         """Numeric roots (ascending by real part, then imaginary)."""

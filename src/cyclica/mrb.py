@@ -30,16 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (
     GeneratorSet,
     find_cyclic_vector,
     is_cyclic_subspace,
     minimal_cyclic_dimension,
 )
-from .linalg import EXACT, FLOAT, Matrix, Polynomial, Subspace, char_poly, eigenvalues
-from .scalars import DEFAULT_TOL, QQI_ZERO, QQi
+from .linalg import EXACT, FLOAT, Matrix, Polynomial, Subspace, char_poly, field_tol, scalar, vector
+from .scalars import DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +46,12 @@ from .scalars import DEFAULT_TOL, QQI_ZERO, QQi
 
 
 class InertiaSpec:
-    """Body dimension n and a strictly increasing positive inertia spectrum."""
+    """Body dimension n and a strictly increasing positive inertia spectrum.
+
+    Integer or Fraction inertias put every operator and vector built from
+    the body on the exact backend; any float inertia puts them on the float
+    backend (``backend``, with tolerance ``tol``).
+    """
 
     def __init__(self, n, C):
         C = list(C)
@@ -59,6 +62,8 @@ class InertiaSpec:
             self.C = [Fraction(c) for c in C]
         else:
             self.C = [float(c) for c in C]
+        self.backend = EXACT if self.exact else FLOAT
+        self.tol = field_tol(self.backend)
         if any(c <= 0 for c in self.C):
             raise ValueError("inertia values must be positive")
         if any(a >= b for a, b in zip(self.C, self.C[1:])):
@@ -104,19 +109,12 @@ def coupling(C: InertiaSpec, j, k):
         raise ValueError(f"invalid index pair ({j}, {k})")
     num = C.C[k - 1] - C.C[j - 1]
     den = C.C[j - 1] + C.C[k - 1]
-    return num / den if not C.exact else Fraction(num, den)
+    return num / den
 
 
 # ---------------------------------------------------------------------------
 # the bilinear form
 # ---------------------------------------------------------------------------
-
-
-def _zero_coords(C: InertiaSpec):
-    d = C.so_dim
-    if C.exact:
-        return [QQI_ZERO] * d
-    return np.zeros(d, dtype=np.complex128)
 
 
 def _basis_pair_product(C: InertiaSpec, basis: SoBasis, p, q):
@@ -146,50 +144,32 @@ def euler_form(C: InertiaSpec, w1, w2):
     d = basis.dim
     if len(w1) != d or len(w2) != d:
         raise ValueError("coordinate vectors must have so(n) dimension")
-    out = _zero_coords(C)
+    backend = C.backend
+    out = [scalar(0, backend)] * d
     for a in range(d):
         xa = w1[a]
-        if _is_zero_entry(xa, C):
+        if not xa:
             continue
         for b in range(d):
             yb = w2[b]
-            if _is_zero_entry(yb, C):
+            if not yb:
                 continue
             hit = _basis_pair_product(C, basis, basis.pairs[a], basis.pairs[b])
             if hit is None:
                 continue
             idx, val = hit
-            if C.exact:
-                out[idx] = out[idx] + _as_coeff(xa) * _as_coeff(yb) * QQi(val)
-            else:
-                out[idx] = out[idx] + complex(xa) * complex(yb) * val
-    return tuple(out) if C.exact else out
-
-
-def _is_zero_entry(x, C: InertiaSpec):
-    if C.exact:
-        return _as_coeff(x).is_zero()
-    return complex(x) == 0
-
-
-def _as_coeff(x):
-    return x if isinstance(x, QQi) else QQi(x)
+            out[idx] = out[idx] + scalar(xa, backend) * scalar(yb, backend) * scalar(val, backend)
+    return vector(out, backend)
 
 
 def _skew_from_coords(C: InertiaSpec, w, basis: SoBasis):
     n = C.n
-    if C.exact:
-        M = [[QQI_ZERO] * n for _ in range(n)]
-        for k, (i, j) in enumerate(basis.pairs):
-            c = _as_coeff(w[k])
-            M[i - 1][j - 1] = M[i - 1][j - 1] + c
-            M[j - 1][i - 1] = M[j - 1][i - 1] - c
-        return Matrix(M, EXACT)
-    M = np.zeros((n, n), dtype=np.complex128)
+    M = [[scalar(0, C.backend)] * n for _ in range(n)]
     for k, (i, j) in enumerate(basis.pairs):
-        M[i - 1, j - 1] += complex(w[k])
-        M[j - 1, i - 1] -= complex(w[k])
-    return Matrix(M, FLOAT, tol=DEFAULT_TOL)
+        c = scalar(w[k], C.backend)
+        M[i - 1][j - 1] = M[i - 1][j - 1] + c
+        M[j - 1][i - 1] = M[j - 1][i - 1] - c
+    return Matrix(M, C.backend, tol=C.tol)
 
 
 def euler_form_direct(C: InertiaSpec, w1, w2):
@@ -202,29 +182,20 @@ def euler_form_direct(C: InertiaSpec, w1, w2):
     W1 = _skew_from_coords(C, w1, basis)
     W2 = _skew_from_coords(C, w2, basis)
     S = (W1 @ W2) + (W2 @ W1)
-    if C.exact:
-        Cm = Matrix([[QQi(C.C[i]) if i == j else QQI_ZERO for j in range(C.n)]
-                     for i in range(C.n)], EXACT)
-    else:
-        Cm = Matrix(np.diag(np.array(C.C, dtype=np.complex128)), FLOAT, tol=DEFAULT_TOL)
+    Cm = Matrix([[C.C[i] if i == j else 0 for j in range(C.n)] for i in range(C.n)],
+                C.backend, tol=C.tol)
     K = (Cm @ S) - (S @ Cm)
-    out = _zero_coords(C)
-    for k, (i, j) in enumerate(basis.pairs):
-        denom = C.C[i - 1] + C.C[j - 1]
-        if C.exact:
-            out[k] = K.entry(i - 1, j - 1) / QQi(Fraction(denom))
-        else:
-            out[k] = complex(K.entry(i - 1, j - 1)) / denom
-    return tuple(out) if C.exact else out
+    out = [
+        scalar(K.entry(i - 1, j - 1), C.backend) / scalar(C.C[i - 1] + C.C[j - 1], C.backend)
+        for (i, j) in basis.pairs
+    ]
+    return vector(out, C.backend)
 
 
 def extension_admissible(C: InertiaSpec, b_hat, B: Subspace) -> bool:
     """Whether the self-coupling of b_hat stays inside the control span,
     the prerequisite for using its linearization as an extension."""
-    v = euler_form(C, b_hat, b_hat)
-    if all(_is_zero_entry(x, C) for x in v):
-        return True
-    return B.contains(v if not C.exact else tuple(_as_coeff(x) for x in v))
+    return B.contains(euler_form(C, b_hat, b_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +219,9 @@ def axis_operator(C: InertiaSpec, axis) -> Matrix:
         a, b = b, a
     basis = SoBasis(n)
     d = basis.dim
-    backend = EXACT if C.exact else FLOAT
-    if C.exact:
-        cols = []
-        for (c, dd) in basis.pairs:
-            col = [QQI_ZERO] * d
-            common = {a, b} & {c, dd}
-            if len(common) == 1:
-                t = common.pop()
-                s1 = 1 if t == a else -1
-                u = b if t == a else a
-                k = dd if t == c else c
-                idx, orient = basis.coord_index(u, k)
-                col[idx] = QQi(s1 * orient * coupling(C, u, k))
-            cols.append(col)
-        return Matrix.from_cols(cols, EXACT)
-    M = np.zeros((d, d), dtype=np.complex128)
-    for j, (c, dd) in enumerate(basis.pairs):
+    cols = []
+    for (c, dd) in basis.pairs:
+        col = [0] * d
         common = {a, b} & {c, dd}
         if len(common) == 1:
             t = common.pop()
@@ -272,8 +229,9 @@ def axis_operator(C: InertiaSpec, axis) -> Matrix:
             u = b if t == a else a
             k = dd if t == c else c
             idx, orient = basis.coord_index(u, k)
-            M[idx, j] = s1 * orient * coupling(C, u, k)
-    return Matrix(M, FLOAT, tol=DEFAULT_TOL)
+            col[idx] = s1 * orient * coupling(C, u, k)
+        cols.append(col)
+    return Matrix.from_cols(cols, C.backend, tol=C.tol)
 
 
 def direction_operator(C: InertiaSpec, b_hat) -> Matrix:
@@ -286,9 +244,7 @@ def direction_operator(C: InertiaSpec, b_hat) -> Matrix:
         e = [0] * d
         e[j] = 1
         cols.append(euler_form(C, b_hat, e))
-    backend = EXACT if C.exact else FLOAT
-    return Matrix.from_cols(cols, backend,
-                            tol=None if C.exact else DEFAULT_TOL)
+    return Matrix.from_cols(cols, C.backend, tol=C.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +274,16 @@ class PerturbationResult:
         return self._disc
 
 
-def _extract_pattern(char: Polynomial, eps, exact):
+def _extract_pattern(char: Polynomial, eps):
     """Read (p0..p4) off the ansatz
     z^6 + p4 z^4 - eps p3 z^3 + p2 z^2 - eps p1 z + eps^2 p0."""
     c = [char.coeff(k) for k in range(7)]
-    if exact:
-        e = QQi(Fraction(eps))
-        p4 = c[4]
-        p3 = -c[3] / e
-        p2 = c[2]
-        p1 = -c[1] / e
-        p0 = c[0] / (e * e)
-    else:
-        e = float(eps)
-        p4 = complex(c[4])
-        p3 = -complex(c[3]) / e
-        p2 = complex(c[2])
-        p1 = -complex(c[1]) / e
-        p0 = complex(c[0]) / (e * e)
+    e = scalar(eps, char.backend)
+    p4 = c[4]
+    p3 = -c[3] / e
+    p2 = c[2]
+    p1 = -c[1] / e
+    p0 = c[0] / (e * e)
     return (p0, p1, p2, p3, p4), c[5]
 
 
@@ -352,39 +300,33 @@ def perturbed_operator(C: InertiaSpec, eps, axes=((1, 2), (2, 3)),
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     tol = tol or DEFAULT_TOL
-    exact = C.exact and isinstance(eps, (int, Fraction))
     L1 = axis_operator(C, axes[0])
     L2 = axis_operator(C, axes[1])
-    if not exact:
+    if not (C.exact and isinstance(eps, (int, Fraction))):
         L1, L2 = L1.to_float(tol), L2.to_float(tol)
 
     def build(e):
-        if exact:
-            return L1 + L2 + (L1 @ L2).scale(QQi(Fraction(e)))
-        return L1 + L2 + (L1 @ L2).scale(complex(e))
+        return L1 + L2 + (L1 @ L2).scale(e)
 
     op = build(eps)
     char = char_poly(op)
     flags = {}
     if eps == 0:
         return PerturbationResult(eps, op, char, None, flags, None)
-    p, c5 = _extract_pattern(char, eps, exact)
-    if exact:
-        flags["z5_vanishes"] = c5.is_zero()
-    else:
-        flags["z5_vanishes"] = abs(c5) <= 1e-10
+    p, c5 = _extract_pattern(char, eps)
     # structural check: the extracted coefficients must not depend on eps
-    eps2 = 2 * eps if exact else 2.0 * float(eps)
-    p_alt, _ = _extract_pattern(char_poly(build(eps2)), eps2, exact)
-    if exact:
+    eps2 = 2 * eps
+    p_alt, _ = _extract_pattern(char_poly(build(eps2)), eps2)
+    if op.backend == EXACT:
+        flags["z5_vanishes"] = c5.is_zero()
         flags["stable_coefficients"] = p == p_alt
     else:
+        flags["z5_vanishes"] = abs(c5) <= 1e-10
         flags["stable_coefficients"] = all(
             abs(x - y) <= 1e-8 * max(1.0, abs(x)) for x, y in zip(p, p_alt)
         )
     p0, p1, p2, p3, p4 = p
-    disc = p1 * p1 - 4 * p2 * p0 if exact else p1 * p1 - 4.0 * p2 * p0
-    return PerturbationResult(eps, op, char, p, flags, disc)
+    return PerturbationResult(eps, op, char, p, flags, p1 * p1 - 4 * p2 * p0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +385,13 @@ def analyze(sys: MrbSystem, trials=64, seed=0) -> MrbReport:
     C = sys.inertia
     basis = SoBasis(C.n)
     d = basis.dim
-    backend = EXACT if C.exact else FLOAT
     control_vecs = []
     for (i, j) in sys.axes:
         e = [0] * d
         e[basis.index[(i, j)]] = 1
         control_vecs.append(e)
     control_vecs.extend(list(v) for v in sys.extra_controls)
-    B = Subspace.from_vectors(d, control_vecs, backend,
-                              None if C.exact else DEFAULT_TOL)
+    B = Subspace.from_vectors(d, control_vecs, C.backend, C.tol)
     notes = []
     for v in sys.extra_controls:
         if not extension_admissible(C, v, B):
@@ -464,7 +404,7 @@ def analyze(sys: MrbSystem, trials=64, seed=0) -> MrbReport:
     if sys.include_damping and sys.damping is not None:
         operators.append(sys.damping)
         notes.append("damping included as an algebra generator")
-    G = GeneratorSet(d, operators, tol=None if C.exact else DEFAULT_TOL)
+    G = GeneratorSet(d, operators, tol=C.tol)
 
     report = MrbReport(sys, B.dim, "inconclusive", notes=notes)
     if B.is_full():

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import algebra, decomp, hautus, mrb, switched
-from .linalg import EXACT, FLOAT, Matrix, Subspace
-from .scalars import DEFAULT_TOL, QQi, ToleranceContext
+from .linalg import EXACT, FLOAT, Matrix, Subspace, vector
+from .scalars import QQi
 
 SCHEMA = "v1"
 
@@ -72,11 +70,6 @@ def parse_scalar_exact(v, path="entry"):
     return QQi(_parse_real(v, path))
 
 
-def parse_scalar_float(v, path="entry"):
-    q = parse_scalar_exact(v, path)
-    return complex(q)
-
-
 # ---------------------------------------------------------------------------
 # matrices / subspaces / vectors
 # ---------------------------------------------------------------------------
@@ -104,31 +97,20 @@ def parse_matrix(obj, backend=EXACT, tol=None, path="matrix"):
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}.data[{i}]", f"expected {cols} entries")
-        if backend == EXACT:
-            parsed.append([parse_scalar_exact(v, f"{path}.data[{i}][{j}]")
-                           for j, v in enumerate(row)])
-        else:
-            parsed.append([parse_scalar_float(v, f"{path}.data[{i}][{j}]")
-                           for j, v in enumerate(row)])
-    if backend == EXACT:
-        return Matrix(parsed, EXACT, cols=cols)
-    return Matrix(np.array(parsed, dtype=np.complex128).reshape(rows, cols),
-                  FLOAT, tol=tol or DEFAULT_TOL)
+        parsed.append([parse_scalar_exact(v, f"{path}.data[{i}][{j}]")
+                       for j, v in enumerate(row)])
+    return Matrix(parsed, backend, tol=tol, cols=cols)
 
 
 def vector_to_json(v):
-    if isinstance(v, tuple):
-        return [scalar_to_json(x) for x in v]
-    return [scalar_to_json(complex(x)) for x in np.asarray(v)]
+    return [scalar_to_json(x) for x in v]
 
 
 def parse_vector(obj, backend=EXACT, path="vector"):
     if not isinstance(obj, list):
         raise SchemaError(path, "expected a list of entries")
-    if backend == EXACT:
-        return tuple(parse_scalar_exact(v, f"{path}[{j}]") for j, v in enumerate(obj))
-    return np.array([parse_scalar_float(v, f"{path}[{j}]") for j, v in enumerate(obj)],
-                    dtype=np.complex128)
+    return vector([parse_scalar_exact(v, f"{path}[{j}]") for j, v in enumerate(obj)],
+                  backend)
 
 
 def subspace_to_json(S: Subspace):
@@ -144,14 +126,19 @@ def subspace_to_json(S: Subspace):
 # ---------------------------------------------------------------------------
 
 
+def _parse_backend(obj, backend_override, path):
+    backend = backend_override or obj.get("backend", EXACT)
+    if backend not in (EXACT, FLOAT):
+        raise SchemaError(f"{path}.backend", f"unknown backend {backend!r}")
+    return backend
+
+
 def parse_generator_set(obj, backend_override=None, tol=None, path="input"):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     if "n" not in obj or "generators" not in obj:
         raise SchemaError(path, "need fields 'n' and 'generators'")
-    backend = backend_override or obj.get("backend", EXACT)
-    if backend not in (EXACT, FLOAT):
-        raise SchemaError(f"{path}.backend", f"unknown backend {backend!r}")
+    backend = _parse_backend(obj, backend_override, path)
     gens = [
         parse_matrix(g, backend, tol, f"{path}.generators[{k}]")
         for k, g in enumerate(obj["generators"])
@@ -159,19 +146,10 @@ def parse_generator_set(obj, backend_override=None, tol=None, path="input"):
     return algebra.GeneratorSet(obj["n"], gens, tol=tol)
 
 
-def generator_set_to_json(G):
-    return {
-        "schema": SCHEMA,
-        "n": G.n,
-        "backend": G.backend,
-        "generators": [matrix_to_json(A) for A in G.gens],
-    }
-
-
 def parse_switched_system(obj, backend_override=None, tol=None, path="input"):
     if not isinstance(obj, dict) or "n" not in obj or "modes" not in obj:
         raise SchemaError(path, "need fields 'n' and 'modes'")
-    backend = backend_override or obj.get("backend", EXACT)
+    backend = _parse_backend(obj, backend_override, path)
     modes = []
     for k, mobj in enumerate(obj["modes"]):
         if "A" not in mobj:
@@ -289,8 +267,7 @@ def design_to_json(rep: switched.DesignReport):
 
 def perturbation_to_json(res: mrb.PerturbationResult):
     out = {
-        "eps": scalar_to_json(res.eps if isinstance(res.eps, (Fraction, QQi))
-                              else float(res.eps)),
+        "eps": scalar_to_json(res.eps),
         "char_coeffs": [scalar_to_json(c) for c in res.char.coeffs],
         "flags": dict(res.flags),
     }

@@ -23,8 +23,7 @@ from .algebra import (
     minimal_cyclic_dimension,
     orbit,
 )
-from .linalg import EXACT, Matrix, Subspace
-from .scalars import DEFAULT_TOL
+from .linalg import Matrix, Subspace
 
 
 @dataclass
@@ -58,7 +57,7 @@ class SwitchedSystem:
         if len(backends) != 1:
             raise TypeError("system mixes scalar backends")
         self.backend = backends.pop()
-        self.tol = tol or (DEFAULT_TOL if self.backend != EXACT else None)
+        self.tol = tol  # None: the default of the backend, as in GeneratorSet
 
     @property
     def m(self):

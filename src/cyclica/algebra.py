@@ -9,6 +9,12 @@ word enumeration: adjoin generator images of the current basis until the
 dimension stops growing.  The dimension can grow at most n times for orbits
 and n^2 times for the algebra itself, so this terminates and is equivalent
 to spanning all words.
+
+On exact generators the span is first grown over GF(p).  A span that is
+full there is full over Q(i), which decides the most frequent question,
+whether the algebra is all of M_n (Burnside) or an orbit is the whole
+space, without Gaussian-rational elimination.  Every result short of full,
+and every obstruction, comes from the loop in the generators' own field.
 """
 
 from __future__ import annotations
@@ -19,19 +25,27 @@ import numpy as np
 
 from .linalg import (
     EXACT,
+    MOD_P_MAX_AMBIENT,
     Matrix,
+    ModPSpan,
     SpanBuilder,
     Subspace,
     annihilator,
     field_tol,
     is_negligible,
     min_poly,
+    mod_p,
+    mod_p_product,
 )
 from .scalars import QQi
 
 
 class GeneratorSet:
-    """The tuple A_1..A_m of n x n matrices generating a unital algebra."""
+    """The tuple A_1..A_m of n x n matrices generating a unital algebra.
+
+    Float generators carry the set's tolerance, so every rank decision about
+    the set uses one threshold.
+    """
 
     __slots__ = ("n", "gens", "backend", "tol")
 
@@ -45,8 +59,8 @@ class GeneratorSet:
             if g.rows != n or g.cols != n:
                 raise ValueError(f"generator is {g.rows}x{g.cols}, expected {n}x{n}")
         self.n = n
-        self.gens = tuple(gens)
         self.tol = tol or field_tol(self.backend)
+        self.gens = tuple(g.with_tol(self.tol) for g in gens)
 
     @property
     def m(self):
@@ -65,7 +79,12 @@ class GeneratorSet:
 
 @dataclass
 class AlgebraBasis:
-    """Canonical basis of the unital algebra, as flattened n^2 vectors."""
+    """Canonical basis of the unital algebra, as flattened n^2 vectors.
+
+    matrices spans the algebra: the n^2 unit matrices E_ij in row-major
+    order when the algebra is all of M_n, otherwise the words that enlarged
+    the span, in the order they entered it.
+    """
 
     generators: GeneratorSet
     matrices: tuple  # basis elements as Matrix
@@ -79,31 +98,70 @@ class AlgebraBasis:
         return self.span.contains(M.flatten())
 
 
-def _stabilize(sb: SpanBuilder, seeds, gens, step, coords):
+def _stabilize(sb, seeds, gens, step, coords):
     """Grow the span sb until it is closed under x -> step(A, x) for every
     generator A; coords(x) is the vector that enters the span for x.
 
     Returns the elements that enlarged the span, in insertion order: the
     seeds first, then each round's images generator-major (for A in gens:
     for x in frontier).  That order is part of the output of closure, whose
-    basis the randomized probes in decomp are drawn over.
+    basis the randomized probes in decomp are drawn over.  The loop stops
+    once the span is full, as nothing after that can enlarge it.
     """
-    frontier = [x for x in seeds if sb.add(coords(x))]
-    members = list(frontier)
-    while frontier:
+    members = []
+
+    def grow(candidates):
         new = []
-        for A in gens:
-            for x in frontier:
-                y = step(A, x)
-                if sb.add(coords(y)):
-                    new.append(y)
+        for x in candidates:
+            if sb.add(coords(x)):
+                new.append(x)
+                if sb.dim == sb.ambient:
+                    break
         members.extend(new)
-        frontier = new
+        return new
+
+    frontier = grow(seeds)
+    while frontier and sb.dim < sb.ambient:
+        # lazy, so that no image is computed once the span is full
+        frontier = grow(step(A, x) for A in gens for x in frontier)
     return members
 
 
+def _full_mod_p(G, seeds, ambient):
+    """Whether the images of the seeds under all words in the generators
+    span the whole ambient space over GF(p), which proves the same over
+    Q(i) (see linalg.mod_p).  False when the span falls short, and whenever
+    the generators or seeds have no image over GF(p): float entries, a
+    denominator divisible by p, or an ambient space too large for int64."""
+    if ambient > MOD_P_MAX_AMBIENT:
+        return False
+    gens = [mod_p(A.data) for A in G.gens]
+    seeds = [mod_p(x) for x in seeds]
+    if any(x is None for x in gens + seeds):
+        return False
+    sb = ModPSpan(ambient)
+    _stabilize(sb, seeds, gens, mod_p_product, np.ravel)
+    return sb.dim == ambient
+
+
 def closure(G: GeneratorSet) -> AlgebraBasis:
-    """Span of all words in the generators, including the empty word."""
+    """Span of all words in the generators, including the empty word.
+
+    Exact generators are tried over GF(p) first: when the span fills M_n
+    there, the algebra is M_n, returned with the unit matrices as its
+    matrices.  Anything short of full is decided in G's own field.
+    """
+    n2 = G.n * G.n
+    if _full_mod_p(G, [Matrix.identity(G.n, G.backend).data] + [A.data for A in G.gens], n2):
+        span = Subspace.full(n2, G.backend, G.tol)
+        units = tuple(Matrix.unflatten(e, G.n, G.n, G.backend, G.tol) for e in span.basis)
+        return AlgebraBasis(G, units, span)
+    return _field_closure(G)
+
+
+def _field_closure(G: GeneratorSet) -> AlgebraBasis:
+    """closure computed in G's own field, with the words that enlarged the
+    span as its matrices."""
     sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
     seeds = [Matrix.identity(G.n, G.backend, G.tol), *G.gens]
     members = _stabilize(sb, seeds, G.gens, lambda A, M: A @ M, Matrix.flatten)
@@ -111,9 +169,20 @@ def closure(G: GeneratorSet) -> AlgebraBasis:
 
 
 def orbit(G: GeneratorSet, B: Subspace) -> Subspace:
-    """Smallest generator-invariant subspace containing B."""
+    """Smallest generator-invariant subspace containing B.
+
+    As in closure, an orbit that is full over GF(p) is returned as the full
+    space without elimination over Q(i).
+    """
     if B.ambient_dim != G.n:
         raise ValueError("subspace ambient dimension does not match generators")
+    if _full_mod_p(G, B.basis, G.n):
+        return Subspace.full(G.n, G.backend, G.tol)
+    return _field_orbit(G, B)
+
+
+def _field_orbit(G: GeneratorSet, B: Subspace) -> Subspace:
+    """orbit computed in G's own field."""
     sb = SpanBuilder(G.n, G.backend, G.tol)
     _stabilize(sb, B.basis, G.gens, Matrix.apply, lambda v: v)
     return sb.subspace()
@@ -168,7 +237,9 @@ class CyclicityCertificate:
                 )
             if self.obstruction_locus is not None:
                 mu, P = self.obstruction_locus
-                if P.dim < 1:
+                # covectors outside G's field (float ones for exact G, from
+                # an irrational mu) cannot be checked in G's arithmetic
+                if P.dim < 1 or P.backend != G.backend:
                     return False
                 eye = Matrix.identity(G.n, G.backend, G.tol)
                 for p in P.basis:

@@ -138,24 +138,27 @@ def rank_drop_locus(G) -> RankDropLocus:
             flags.append("degenerate_spectrum")
     import itertools
 
-    # left-kernels once per (generator, candidate), in both arithmetics
-    exact_kernels = []
-    float_kernels = []
-    for A, spec in zip(G.gens, spectra):
-        Af = A.to_float()
-        float_kernels.append([_shifted_left_kernel(Af, value) for value, _, _ in spec])
-        # only exact generators have exactly verified eigenvalues
-        exact_kernels.append([_shifted_left_kernel(A, value) if is_exact else None
-                              for value, _, is_exact in spec])
+    # left-kernels once per (generator, candidate): exact ones up front (only
+    # exact generators have exactly verified eigenvalues), float ones on
+    # first use by a tuple with a coordinate that is not exact
+    exact_kernels = [[_shifted_left_kernel(A, value) if is_exact else None
+                      for value, _, is_exact in spec]
+                     for A, spec in zip(G.gens, spectra)]
+    floats = [A.to_float(tol) for A in G.gens]
+    float_kernels = {}
+
+    def float_kernel(j, idx):
+        if (j, idx) not in float_kernels:
+            float_kernels[j, idx] = _shifted_left_kernel(floats[j], spectra[j][idx][0])
+        return float_kernels[j, idx]
 
     entries = []
     numeric_used = False
     for combo in itertools.product(*(range(len(s)) for s in spectra)):
         all_exact = all(exact_kernels[j][idx] is not None for j, idx in enumerate(combo))
-        kernels = exact_kernels if all_exact else float_kernels
         P = None
         for j, idx in enumerate(combo):
-            K = kernels[j][idx]
+            K = exact_kernels[j][idx] if all_exact else float_kernel(j, idx)
             P = K if P is None else intersect(P, K)
             if P.dim == 0:
                 break

@@ -12,6 +12,11 @@ tests for zero with :func:`is_negligible`, so the choice of field is made
 in this module: coercion, zero and pivot tests, elimination versus SVD in
 ``rank``/``kernel``, ``inverse``, ``char_poly``, ``min_poly`` and hashing.
 
+Exact data also has an image over the prime field GF(p) (:func:`mod_p`,
+:class:`ModPSpan`).  Spans there are cheap and bound spans over Q(i) from
+below, so a span that is full over GF(p) is full over Q(i); nothing short of
+full is ever concluded from them.
+
 Subspaces are kept in a canonical form (reduced row echelon, pivots
 normalized to 1, zero rows dropped) so two subspaces are equal exactly when
 their stored bases are equal entrywise.
@@ -269,6 +274,12 @@ class Matrix:
             return self
         return Matrix(self.data, FLOAT, tol=tol)
 
+    def with_tol(self, tol):
+        """This matrix carrying the tolerance tol (on the exact backend,
+        which carries none, the matrix itself)."""
+        tol = field_tol(self.backend, tol)
+        return self if tol == self.tol else Matrix._wrap(self.data, self.backend, tol)
+
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
@@ -443,6 +454,100 @@ class CombinationTracker:
         self.pivots.append(piv)
         self.count += 1
         return None
+
+
+# ---------------------------------------------------------------------------
+# images over GF(p)
+# ---------------------------------------------------------------------------
+
+# A prime p = 1 (mod 4), so that i has an image in GF(p).  Residues are below
+# 2**26, so a product of two is below 2**52, and an int64 dot product of up
+# to MOD_P_MAX_AMBIENT such products cannot overflow.
+MOD_P = 67108837
+MOD_P_MAX_AMBIENT = 2**11
+# p = 5 (mod 8), so 2 is not a square mod p and 2^((p-1)/4) squares to -1
+_MOD_P_I = pow(2, (MOD_P - 1) // 4, MOD_P)
+
+
+def _residue(q, inverses):
+    """The Fraction q = a/b as a * b^-1 mod MOD_P; None when MOD_P divides b."""
+    b = q.denominator
+    if b == 1:
+        return q.numerator % MOD_P
+    if b not in inverses:
+        inverses[b] = pow(b, -1, MOD_P) if b % MOD_P else None
+    inv = inverses[b]
+    return None if inv is None else q.numerator * inv % MOD_P
+
+
+def mod_p(values):
+    """Image of exact entries over GF(MOD_P), as an int64 array of values'
+    shape; None when the entries are not exact or a denominator is
+    divisible by MOD_P.
+
+    The map is the ring homomorphism Z[i]_(pi) -> GF(MOD_P) sending i to a
+    square root of -1, where pi is the Gaussian prime above MOD_P that it
+    kills.  Z[i]_(pi) is a discrete valuation ring: a Q(i)-linear
+    dependence among vectors over it can be scaled until one coefficient is
+    a unit, and then maps to a dependence over GF(MOD_P).  So vectors whose
+    images are independent are independent over Q(i): a span that is full
+    over GF(MOD_P) is full over Q(i), and one that is not says nothing.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != object:
+        return None
+    out = np.empty(arr.shape, dtype=np.int64)
+    flat = out.reshape(-1)
+    inverses = {}
+    for k, x in enumerate(arr.flat):
+        if not isinstance(x, QQi):
+            return None
+        re, im = _residue(x.re, inverses), _residue(x.im, inverses)
+        if re is None or im is None:
+            return None
+        flat[k] = (re + _MOD_P_I * im) % MOD_P
+    return out
+
+
+def mod_p_product(a, b):
+    """a @ b over GF(MOD_P) for residue arrays with an inner dimension of at
+    most MOD_P_MAX_AMBIENT."""
+    return a @ b % MOD_P
+
+
+class ModPSpan:
+    """Reduced row echelon span of residue vectors over GF(MOD_P).
+
+    It decides dimensions only, and soundly only one way (see
+    :func:`mod_p`): full here proves full over Q(i).  The ambient dimension
+    is at most MOD_P_MAX_AMBIENT, so that reducing a vector against all rows
+    at once is one int64 product that cannot overflow.
+    """
+
+    def __init__(self, ambient):
+        if ambient > MOD_P_MAX_AMBIENT:
+            raise ValueError(f"ambient dimension {ambient} exceeds {MOD_P_MAX_AMBIENT}")
+        self.ambient = ambient
+        self.rows = np.zeros((0, ambient), dtype=np.int64)
+        self.pivots = []  # pivot column of each row
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def add(self, vec):
+        """Insert vec's direction into the span; returns True if dim grew."""
+        # rows are fully reduced, so vec's coordinates at the pivots are the
+        # coefficients that clear them
+        v = (vec - vec[self.pivots] @ self.rows) % MOD_P
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        p = int(nonzero[0])
+        v = v * pow(int(v[p]), -1, MOD_P) % MOD_P
+        self.rows = np.vstack([(self.rows - np.outer(self.rows[:, p], v)) % MOD_P, v])
+        self.pivots.append(p)
+        return True
 
 
 # ---------------------------------------------------------------------------

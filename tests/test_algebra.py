@@ -277,3 +277,15 @@ def test_certificate_soundness_random_instances():
         b = random_exact_vector(r, n)
         cert = is_cyclic_vector(G, b)
         assert cert.recheck(G)
+
+
+def test_not_cyclic_certificate_with_irrational_mu_rechecks_false():
+    # blockdiag(R, R), R = [[0, 2], [1, 0]]: the worst locus tuple is
+    # mu = -sqrt(2), whose covectors are float while the generator is exact
+    R = [[0, 2], [1, 0]]
+    B = Matrix.exact([R[0] + [0, 0], R[1] + [0, 0], [0, 0] + R[0], [0, 0] + R[1]])
+    G = GeneratorSet(4, [B])
+    cert = find_cyclic_vector(G, trials=8, seed=0)
+    assert cert.verdict == NOT_CYCLIC
+    assert cert.obstruction_locus[1].backend != G.backend
+    assert cert.recheck(G) is False

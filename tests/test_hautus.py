@@ -16,7 +16,7 @@ from cyclica.hautus import (
     rank_drop_locus,
 )
 from cyclica.linalg import EXACT, Matrix, rank
-from cyclica.scalars import QQi
+from cyclica.scalars import DEFAULT_TOL, QQi, ToleranceContext
 
 
 def stacked_block(G, mu):
@@ -187,3 +187,36 @@ def test_float_backend_locus():
     locus = rank_drop_locus(G)
     assert locus.max_drop == 1
     assert len(locus.entries) == 2
+
+
+def test_float_generators_take_the_set_tolerance():
+    loose = ToleranceContext(tau_rank=1e-3)
+    A = Matrix.from_float([[1.0, 0], [0, 2.0]])
+    B = Matrix.from_float([[3.0, 1e-5], [1e-5, 4.0]])
+    G = GeneratorSet(2, [A, B], tol=loose)
+    assert all(g.tol == G.tol for g in G.gens)
+    assert all(g.tol == DEFAULT_TOL for g in GeneratorSet(2, [A, B]).gens)
+    assert all(g.tol == loose for g in GeneratorSet(2, [A, B]).to_float(loose).gens)
+    # the left eigencovectors of B lean 1e-5 off those of A: one common
+    # covector per eigenvalue pair within 1e-3, none within the default
+    assert rank_drop_locus(GeneratorSet(2, [A, B])).max_drop == 0
+    assert [e.dim_p for e in rank_drop_locus(G)] == [1, 1]
+
+
+def test_all_exact_locus_builds_no_float_kernels(monkeypatch):
+    from cyclica import hautus
+
+    built = []
+    original = hautus._shifted_left_kernel
+
+    def counting(A, mu):
+        built.append(A.backend)
+        return original(A, mu)
+
+    monkeypatch.setattr(hautus, "_shifted_left_kernel", counting)
+    T1 = Matrix.exact([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    T2 = Matrix.exact([[2, 0, 1], [0, 1, 1], [0, 0, -1]])
+    G = GeneratorSet(6, [Matrix.block_diag([T1, T1]), Matrix.block_diag([T2, T2])])
+    locus = rank_drop_locus(G)
+    assert locus.entries and all(e.exact for e in locus.entries)
+    assert built and set(built) == {EXACT}

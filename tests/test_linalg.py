@@ -1,9 +1,18 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_exact_matrix, random_exact_vector, rng
+from conftest import (
+    random_exact_matrix,
+    random_exact_vector,
+    random_jordan_matrix,
+    random_unimodular,
+    rng,
+)
 from cyclica.linalg import (
     EXACT,
     FLOAT,
@@ -193,3 +202,99 @@ def test_float_subspace_operations():
 def test_backend_mixing_rejected():
     with pytest.raises(TypeError):
         Matrix.identity(2) @ Matrix.identity(2, FLOAT)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free exact product against an entrywise reference
+# ---------------------------------------------------------------------------
+
+# pairwise coprime denominators, so common denominators grow as products
+_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+
+def _dot(row, col):
+    """Reference dot product, one QQi operation at a time."""
+    return sum((x * y for x, y in zip(row, col)), QQi(0))
+
+
+@st.composite
+def _exact_rows(draw, rows, cols):
+    """rows x cols QQi entries, often zero; the imaginary parts are all zero
+    or drawn like the real ones, one choice per operand."""
+    part = st.one_of(st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENOMINATORS)))
+    imag = part if draw(st.booleans()) else st.just(Fraction(0))
+    entry = st.builds(QQi, part, imag)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def _assert_canonical(entries):
+    for x in entries:
+        assert isinstance(x, QQi)
+        for part in (x.re, x.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_product_matches_entrywise_reference(data):
+    m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(_exact_rows(m, k))
+    A = Matrix(a, EXACT, cols=k)
+    if data.draw(st.booleans()):
+        b = data.draw(_exact_rows(1, k))[0]
+        got, want = A.apply(b), tuple(_dot(row, b) for row in a)
+        assert len(got) == m
+    else:
+        b = data.draw(_exact_rows(k, n))
+        P = A @ Matrix(b, EXACT, cols=n)
+        cols = [[row[j] for row in b] for j in range(n)]
+        want = Matrix([[_dot(row, col) for col in cols] for row in a], EXACT, cols=n)
+        assert (P.rows, P.cols) == (m, n)
+        assert P == want and hash(P) == hash(want)
+        got, want = tuple(P.data.ravel()), tuple(want.data.ravel())
+    assert got == want
+    _assert_canonical(got)
+
+
+def test_exact_apply_coerces_plain_numbers():
+    A = Matrix.exact([[1, 2], [0, QQi(1, 1)]])
+    img = A.apply([3, Fraction(1, 2)])
+    assert img == (QQi(4), QQi(Fraction(1, 2), Fraction(1, 2)))
+    _assert_canonical(img)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["jordan", "random"]))
+def test_inverse_roundtrip_or_singular(seed, n, family):
+    r = rng(seed)
+    A = random_jordan_matrix(r, n)[0] if family == "jordan" else random_exact_matrix(r, n, n)
+    if rank(A) < n:
+        with pytest.raises(ValueError, match="singular"):
+            A.inverse()
+    else:
+        eye = Matrix.identity(n)
+        assert A @ A.inverse() == eye and A.inverse() @ A == eye
+    U = random_unimodular(r, n)
+    assert U @ U.inverse() == Matrix.identity(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["jordan", "random"]))
+def test_min_poly_annihilates_with_no_lower_dependence(seed, n, family):
+    r = rng(seed)
+    if family == "jordan":
+        A, nonderogatory = random_jordan_matrix(r, n)
+    else:
+        A, nonderogatory = random_exact_matrix(r, n, n), None
+    mp = min_poly(A)
+    assert mp.coeffs[-1] == QQi(1)
+    assert mp(A).is_zero()
+    powers = [Matrix.identity(n)]
+    for _ in range(mp.degree - 1):
+        powers.append(powers[-1] @ A)
+    assert rank(Matrix.from_rows([P.flatten() for P in powers], EXACT)) == mp.degree
+    if nonderogatory is not None:
+        assert (mp == char_poly(A)) == nonderogatory

@@ -6,7 +6,8 @@ covector p satisfies p(A_j - mu_j I) = 0 for every j.  Any r-dimensional
 cyclic subspace must dodge every such covector space, so
 max dim P_mu <= r is necessary; when the generated Lie algebra is
 solvable it is sufficient too, and generic subspaces of that dimension
-work.
+work.  Solvability is read off the trace form of the generated algebra:
+every commutator [A_i, A_j] must be orthogonal to all of it.
 """
 
 from cyclica import (
@@ -16,7 +17,6 @@ from cyclica import (
     classify_blocks,
     hautus_verdict,
     is_solvable,
-    lie_closure,
     minimal_cyclic_dimension,
     multiplicity_condition,
     rank_drop_locus,
@@ -33,9 +33,7 @@ for e in locus.entries:
     print(f"  mu = {tuple(str(v) for v in e.mu)}  "
           f"covector dim {e.dim_p}  stacked rank {e.rank_value}")
 print("  worst drop:", locus.max_drop)
-L = lie_closure(G)
-print("  Lie closure dim", L.dim, "derived series", L.derived_dims,
-      "solvable:", is_solvable(L))
+print("  generated Lie algebra solvable:", is_solvable(G))
 print("  verdict for single-column inputs:", hautus_verdict(G, 1))
 print("  verdict for two-column inputs:  ", hautus_verdict(G, 2))
 res = minimal_cyclic_dimension(G, trials=32, seed=0)

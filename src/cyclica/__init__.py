@@ -9,7 +9,7 @@ Layers, bottom up:
   only layer that chooses between the two backends;
 - algebra: algebra closure, orbits, cyclicity certificates, randomized
   search with sound negative verdicts;
-- hautus: rank-drop locus, Lie closure, solvability, combined verdicts;
+- hautus: rank-drop locus, solvability, combined verdicts;
 - decomp: block-triangular form, isotypic classes, the multiplicity test
   and the constructive cyclic vector;
 - switched: reachability of switched linear systems and input design;
@@ -43,12 +43,10 @@ from .decomp import (
     multiplicity_condition,
 )
 from .hautus import (
-    LieClosure,
     RankDropLocus,
     hautus_necessary,
     hautus_verdict,
     is_solvable,
-    lie_closure,
     rank_drop_locus,
 )
 from .linalg import (

@@ -230,16 +230,15 @@ class CyclicityCertificate:
             return orb.is_full() and orb.dim == self.orbit_dim
         if self.verdict == NOT_CYCLIC:
             if self.obstruction_covector is not None and self.witness is not None:
-                orb = _witness_orbit(G, self.witness)
                 p = self.obstruction_covector
-                return all(
-                    _pairing_is_zero(p, v, G) for v in orb.basis
+                return not _vec_is_zero(p, G) and all(
+                    _pairing_is_zero(p, v, G) for v in _witness_orbit(G, self.witness).basis
                 )
             if self.obstruction_locus is not None:
                 mu, P = self.obstruction_locus
-                # covectors outside G's field (float ones for exact G, from
-                # an irrational mu) cannot be checked in G's arithmetic
-                if P.dim < 1 or P.backend != G.backend:
+                # one covector cannot exclude a cyclic vector, and covectors
+                # outside G's field (float ones for exact G) cannot be checked
+                if P.dim < 2 or len(mu) != G.m or P.backend != G.backend:
                     return False
                 eye = Matrix.identity(G.n, G.backend, G.tol)
                 for p in P.basis:
@@ -376,13 +375,13 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertifica
 class MinimalCyclicResult:
     """Outcome of the minimal cyclic-dimension search.
 
-    r is the smallest certified dimension when certified is True; otherwise
-    the bracket [lower_bound, r] is the best knowledge (r is None if even
-    the full-dimension fallback failed, which cannot happen for r = n).
+    witness is a cyclic subspace of dimension r, so r is always attained.
+    When certified is True, r equals the lower bound and is the minimum;
+    otherwise the bracket [lower_bound, r] is the best knowledge.
     """
 
-    r: int | None
-    witness: Subspace | None
+    r: int
+    witness: Subspace
     lower_bound: int
     certified: bool
     solvable: bool
@@ -396,10 +395,12 @@ class MinimalCyclicResult:
 def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0) -> MinimalCyclicResult:
     """Least r such that some r-dimensional subspace is cyclic.
 
-    The lower bound is the largest rank drop over the Popov-Hautus locus;
-    when the generated Lie algebra is solvable the bound is attained and the
-    result is certified exact even before sampling confirms it.
+    The lower bound is the largest rank drop over the Popov-Hautus locus.
+    Subspaces are sampled from the bound up; the first cyclic one is the
+    witness (the whole space always is), certified when it attains the bound.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     n = G.n
     trail = []
     if G.m == 0:
@@ -414,31 +415,17 @@ def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0) -> MinimalCycli
     locus = hautus.rank_drop_locus(G)
     lower = max(1, locus.max_drop)
     trail.append(f"rank-drop locus: max common covector dimension {locus.max_drop}")
-    solvable = hautus.is_solvable(hautus.lie_closure(G))
+    solvable = hautus.is_solvable(G)
     trail.append(f"generated Lie algebra solvable: {solvable}")
     for r in range(lower, n + 1):
         for t in range(trials):
             rng = _trial_rng(seed, r * 100_000 + t)
             B = Subspace.full(n, G.backend, G.tol) if r == n else sample_subspace(G, r, rng)
-            cert = is_cyclic_subspace(G, B)
-            if cert.is_cyclic:
+            if is_cyclic_subspace(G, B).is_cyclic:
                 trail.append(f"sampled cyclic subspace of dimension {r} (trial {t})")
-                certified = (r == lower)
                 return MinimalCyclicResult(
                     r=r, witness=B, lower_bound=lower,
-                    certified=certified, solvable=solvable, trail=trail,
+                    certified=(r == lower), solvable=solvable, trail=trail,
                 )
         trail.append(f"no cyclic subspace sampled at dimension {r} ({trials} trials)")
-        if solvable:
-            # generic subspaces at the bound are cyclic whenever the Lie
-            # algebra is solvable, so a miss here is a sampling fluke;
-            # report the bound as exact with no witness rather than inflate r
-            trail.append("solvable: dimension bound is attained; witness sampling failed")
-            return MinimalCyclicResult(
-                r=r, witness=None, lower_bound=lower,
-                certified=True, solvable=True, trail=trail,
-            )
-    return MinimalCyclicResult(
-        r=None, witness=None, lower_bound=lower, certified=False,
-        solvable=solvable, trail=trail,
-    )
+    raise AssertionError("the whole space failed to be cyclic")

@@ -13,13 +13,14 @@ the spectra.  Covectors are reported as row vectors throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _stabilize
-from .linalg import EXACT, Matrix, SpanBuilder, Subspace, cluster_values, intersect, kernel
+from .algebra import closure
+from .linalg import EXACT, Matrix, Subspace, cluster_values, intersect, is_negligible, kernel
 from .linalg import char_poly as _char_poly
 from .scalars import DEFAULT_TOL, QQi
 
@@ -136,7 +137,6 @@ def rank_drop_locus(G) -> RankDropLocus:
         spectra.append(spec)
         if merged:
             flags.append("degenerate_spectrum")
-    import itertools
 
     # left-kernels once per (generator, candidate): exact ones up front (only
     # exact generators have exactly verified eigenvalues), float ones on
@@ -169,7 +169,7 @@ def rank_drop_locus(G) -> RankDropLocus:
                 numeric_used = True
     if numeric_used:
         flags.append("numeric_candidates")
-    # deterministic order: exact entries first, then by coordinates
+    # deterministic order: by the coordinates' real, then imaginary parts
     def key(e):
         return tuple((complex(v).real, complex(v).imag) for v in e.mu)
 
@@ -186,59 +186,35 @@ def hautus_necessary(G, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lie closure and solvability
+# solvability
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LieClosure:
-    generators: object
-    basis: tuple  # Matrix elements spanning the Lie algebra
-    span: Subspace
-    derived_dims: list = field(default_factory=list)
+def is_solvable(G) -> bool:
+    """Whether the Lie algebra generated by the operators is solvable.
 
-    @property
-    def dim(self):
-        return self.span.dim
-
-
-def _bracket(A, B):
-    return (A @ B) - (B @ A)
-
-
-def lie_closure(G) -> LieClosure:
-    """Lie algebra generated by the operators, via bracket stabilization."""
-    sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
-    members = _stabilize(sb, G.gens, G.gens, _bracket, Matrix.flatten)
-    L = LieClosure(G, tuple(members), sb.subspace())
-    L.derived_dims = _derived_series_dims(L, G)
-    return L
+    By Lie's theorem it is iff the generators triangularize together, iff
+    every [A_i, A_j] lies in the radical of the algebra they generate (McCoy
+    1934), which in characteristic 0 is the kernel of the trace form
+    (Dickson; Ronyai 1990): tr([A_i, A_j] a) = 0 for every basis element a
+    of the closure.  A float trace is negligible against the product of the
+    largest entries of A_i, A_j and the basis, which sets its rounding error.
+    """
+    if G.m < 2:
+        return True
+    S = closure(G).span.basis_matrix()
+    s_scale = _largest(S)
+    for A, B in itertools.combinations(G.gens, 2):
+        # tr(C a) is the dot product of C^T and a, both flattened row-major
+        traces = S.apply((A @ B - B @ A).T.flatten())
+        if not is_negligible(traces, G.backend, G.tol, _largest(A) * _largest(B) * s_scale):
+            return False
+    return True
 
 
-def _derived_series_dims(L: LieClosure, G):
-    dims = [L.dim]
-    basis = list(L.basis)
-    n = G.n
-    while dims[-1] > 0:
-        sb = SpanBuilder(n * n, G.backend, G.tol)
-        members = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                C = _bracket(basis[i], basis[j])
-                if sb.add(C.flatten()):
-                    members.append(C)
-        d = sb.dim
-        if d == dims[-1]:
-            dims.append(d)
-            break  # stabilized above zero: not solvable
-        dims.append(d)
-        basis = members
-    return dims
-
-
-def is_solvable(L: LieClosure) -> bool:
-    """Derived series reaches zero."""
-    return L.derived_dims[-1] == 0
+def _largest(M: Matrix) -> float:
+    """Largest entry magnitude of M."""
+    return float(np.abs(M.to_float().data).max(initial=0.0))
 
 
 def hautus_verdict(G, r: int) -> str:
@@ -254,6 +230,6 @@ def hautus_verdict(G, r: int) -> str:
         raise ValueError("r out of range")
     if not hautus_necessary(G, r):
         return NO_CYCLIC_SUBSPACE
-    if is_solvable(lie_closure(G)):
+    if is_solvable(G):
         return GENERIC_CYCLIC_SUBSPACE
     return NECESSARY_HOLDS_ONLY

@@ -260,7 +260,7 @@ def design_to_json(rep: switched.DesignReport):
         "certified": rep.certified,
         "solvable": rep.solvable,
         "bracket": list(rep.bracket),
-        "witness_B": matrix_to_json(rep.witness_B) if rep.witness_B is not None else None,
+        "witness_B": matrix_to_json(rep.witness_B),
         "trail": list(rep.trail),
     }
 

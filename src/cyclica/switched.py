@@ -89,8 +89,8 @@ def is_globally_reachable(sys: SwitchedSystem) -> bool:
 class DesignReport:
     """Outcome of the input-design search for uncontrolled mode dynamics."""
 
-    r: int | None
-    witness_B: Matrix | None  # columns span the certified cyclic subspace
+    r: int
+    witness_B: Matrix  # columns span a cyclic subspace of dimension r
     lower_bound: int
     certified: bool
     solvable: bool
@@ -114,13 +114,11 @@ def design_inputs(A_list, trials=64, seed=0, tol=None) -> DesignReport:
     n = A_list[0].rows
     G = GeneratorSet(n, A_list, tol=tol)
     res: MinimalCyclicResult = minimal_cyclic_dimension(G, trials=trials, seed=seed)
-    witness_B = None
-    if res.witness is not None:
-        witness_B = Matrix.from_cols(list(res.witness.basis), G.backend, tol=G.tol)
-        # the witness must re-certify as a reachable-system input
-        sys = SwitchedSystem(n, [Mode(A) for A in A_list], shared_B=witness_B, tol=G.tol)
-        if not is_globally_reachable(sys):
-            raise AssertionError("design witness failed re-certification")
+    witness_B = Matrix.from_cols(list(res.witness.basis), G.backend, tol=G.tol)
+    # the witness must re-certify as a reachable-system input
+    sys = SwitchedSystem(n, [Mode(A) for A in A_list], shared_B=witness_B, tol=G.tol)
+    if not is_globally_reachable(sys):
+        raise AssertionError("design witness failed re-certification")
     return DesignReport(
         r=res.r,
         witness_B=witness_B,

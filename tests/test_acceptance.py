@@ -34,7 +34,7 @@ from cyclica.decomp import (
     is_block_diagonal,
     multiplicity_condition,
 )
-from cyclica.hautus import hautus_necessary, is_solvable, lie_closure, rank_drop_locus
+from cyclica.hautus import hautus_necessary, is_solvable, rank_drop_locus
 from cyclica.linalg import Matrix, SpanBuilder, Subspace, char_poly, eigenvalues, min_poly, rank
 from cyclica.mrb import InertiaSpec, axis_operator, perturbed_operator
 from cyclica.scalars import QQi
@@ -346,7 +346,7 @@ def test_criterion_11_solvable_sufficiency():
     while done < 50:
         n = int(r.integers(2, 5))
         G = _random_triangularizable_pair(r, n)
-        assert is_solvable(lie_closure(G))
+        assert is_solvable(G)
         if rank_drop_locus(G).max_drop > 1:
             continue  # construction must satisfy the rank condition for r=1
         done += 1

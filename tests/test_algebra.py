@@ -14,6 +14,7 @@ from cyclica.algebra import (
     CYCLIC,
     NOT_CYCLIC,
     UNDETERMINED,
+    CyclicityCertificate,
     GeneratorSet,
     closure,
     find_cyclic_vector,
@@ -25,7 +26,7 @@ from cyclica.algebra import (
     single_generator_cyclic,
     vector_orbit,
 )
-from cyclica.linalg import Matrix, SpanBuilder, Subspace, rank
+from cyclica.linalg import Matrix, SpanBuilder, Subspace, kernel, rank
 from cyclica.scalars import QQi
 
 J3 = Matrix.exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -289,3 +290,58 @@ def test_not_cyclic_certificate_with_irrational_mu_rechecks_false():
     assert cert.verdict == NOT_CYCLIC
     assert cert.obstruction_locus[1].backend != G.backend
     assert cert.recheck(G) is False
+
+
+def test_minimal_cyclic_dimension_needs_a_trial():
+    with pytest.raises(ValueError):
+        minimal_cyclic_dimension(GeneratorSet(3, [J3]), trials=0)
+
+
+def test_certified_dimension_carries_a_witness():
+    r = rng(71)
+    families = []
+    for _ in range(6):
+        n = int(r.integers(2, 6))
+        families.append(GeneratorSet(n, [random_jordan_matrix(r, n)[0]]))
+        families.append(GeneratorSet(n, [random_jordan_matrix(r, n)[0] for _ in range(2)]))
+        families.append(GeneratorSet(n, [random_exact_matrix(r, n, n) for _ in range(2)]))
+        U = random_unimodular(r, n)
+        diag = [Matrix.exact(np.diag(r.integers(-1, 2, size=n)).tolist()) for _ in range(2)]
+        families.append(GeneratorSet(n, [U @ D @ U.inverse() for D in diag]))
+    certified = 0
+    for k, G in enumerate(families):
+        res = minimal_cyclic_dimension(G, trials=2, seed=k)
+        assert res.lower_bound <= res.r == res.witness.dim
+        cert = is_cyclic_subspace(G, res.witness)
+        assert cert.is_cyclic and cert.recheck(G)
+        if res.certified:
+            certified += 1
+            assert res.r == res.lower_bound
+    assert certified > len(families) // 2
+
+
+J3_AT_2 = Matrix.exact([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+
+
+def test_locus_certificate_needs_two_covectors():
+    # J3_AT_2 is cyclic; its one left eigencovector at mu = 2 does not
+    # exclude a cyclic vector, and the full dual space proves nothing
+    # about a mu of the wrong length
+    G = GeneratorSet(3, [J3_AT_2])
+    P = kernel((J3_AT_2 - Matrix.identity(3).scale(2)).T)
+    assert P.dim == 1
+    assert find_cyclic_vector(G, trials=4, seed=0).is_cyclic
+    forged = CyclicityCertificate(NOT_CYCLIC, obstruction_locus=((QQi(2),), P))
+    assert forged.recheck(G) is False
+    everything = CyclicityCertificate(NOT_CYCLIC, obstruction_locus=((), Subspace.full(3)))
+    assert everything.recheck(G) is False
+
+
+def test_zero_obstruction_covector_rechecks_false():
+    G = GeneratorSet(3, [J3_AT_2])
+    e3 = (QQi(0), QQi(0), QQi(1))
+    assert is_cyclic_vector(G, e3).is_cyclic
+    forged = CyclicityCertificate(
+        NOT_CYCLIC, witness=e3, orbit_dim=3, obstruction_covector=(QQi(0),) * 3
+    )
+    assert forged.recheck(G) is False

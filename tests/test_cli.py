@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cyclica.algebra import GeneratorSet, orbit
 from cyclica.cli import build_report, main, rerun_report, run_corpus
+from cyclica.linalg import EXACT, Matrix, Subspace
+from cyclica.serialize import parse_matrix
 
 GENS_SL2 = {
     "n": 2,
@@ -35,6 +38,19 @@ GENS_THREE_COPIES = {
                   [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]},
     ],
 }
+
+# F1: two doubled upper-triangular generators conjugated by a unimodular
+# matrix; the first has the eigenvalue -1 with multiplicity 3 on each copy.
+# The minimal cyclic dimension is 2, while the rank-drop locus misses the
+# drop at -1 and gives the lower bound 1.
+F1_GENERATORS = [
+    [[-127, 86, 168, 28, -8, -28], [24, -13, -50, 0, 0, 6], [-62, 42, 85, 12, -4, -14],
+     [-114, 74, 168, 19, -6, -26], [334, -222, -482, -60, 19, 76],
+     [56, -32, -84, -16, 0, 11]],
+    [[-116, 102, 63, 56, -14, -23], [65, -45, -72, -18, 6, 14], [-83, 69, 67, 30, -10, -17],
+     [-183, 149, 152, 66, -21, -38], [395, -319, -313, -150, 46, 80],
+     [-62, 50, 124, -20, -12, -14]],
+]
 
 
 def run_cli(capsys, args):
@@ -169,3 +185,18 @@ def test_corpus_command_exit_zero(capsys):
     code, out, err = run_cli(capsys, ["corpus"])
     assert code == 0
     assert "PASS" in err
+
+
+def test_design_f1_is_not_certified_without_a_witness():
+    payload = {"n": 6, "backend": "exact",
+               "generators": [{"rows": 6, "cols": 6, "data": A} for A in F1_GENERATORS]}
+    config = {"seed": 0, "trials": 64, "tol_rank": 1e-9, "tol_gap": 1e-7, "backend": None}
+    report = build_report("design", payload, config)
+    design = report["result"]["design"]
+    assert report["status"] == "inconclusive"
+    assert design["r"] == 2 and design["certified"] is False
+    W = parse_matrix(design["witness_B"], EXACT)
+    assert (W.rows, W.cols) == (6, 2)
+    cols = W.T.row_vectors()
+    G = GeneratorSet(6, [Matrix.exact(A) for A in F1_GENERATORS])
+    assert orbit(G, Subspace.from_vectors(6, cols)).is_full()

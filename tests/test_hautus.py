@@ -12,10 +12,9 @@ from cyclica.hautus import (
     hautus_necessary,
     hautus_verdict,
     is_solvable,
-    lie_closure,
     rank_drop_locus,
 )
-from cyclica.linalg import EXACT, Matrix, rank
+from cyclica.linalg import EXACT, Matrix, SpanBuilder, rank
 from cyclica.scalars import DEFAULT_TOL, QQi, ToleranceContext
 
 
@@ -109,40 +108,102 @@ def test_locus_shift_equivariance():
         assert abs(a[0] - b[0]) < 1e-7 and abs(a[1] - b[1]) < 1e-7 and a[2] == b[2]
 
 
-def test_lie_closure_triangular_solvable():
+def _reference_solvable(G):
+    """Solvability by definition: the Lie closure by bracket stabilization,
+    then the derived series L, [L, L], ... until it reaches 0 (solvable) or
+    stops shrinking (not).  Each step brackets the canonical basis of the
+    previous span.  Float operands are scaled to largest entry 1 first, so
+    SpanBuilder's threshold, relative to the bracket's largest entry, is
+    relative to the operands as well."""
+    def unit(X):
+        return X.scale(1 / (np.abs(X.data).max() or 1)) if G.backend != EXACT else X
+
+    def bracket(X, Y):
+        X, Y = unit(X), unit(Y)
+        return X @ Y - Y @ X
+
+    def basis(sb):
+        return [Matrix.unflatten(v, G.n, G.n, G.backend, G.tol) for v in sb.rows]
+
+    sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
+    frontier = [A for A in G.gens if sb.add(A.flatten())]
+    while frontier:
+        frontier = [C for C in (bracket(A, X) for A in G.gens for X in frontier)
+                    if sb.add(C.flatten())]
+    L = basis(sb)
+    while L:
+        sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
+        for X, Y in itertools.combinations(L, 2):
+            sb.add(bracket(X, Y).flatten())
+        if sb.dim == len(L):
+            return False
+        L = basis(sb)
+    return True
+
+
+def test_is_solvable_triangular():
     u1 = Matrix.exact([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     u2 = Matrix.exact([[4, 0, 1], [0, 5, 1], [0, 0, 6]])
-    L = lie_closure(GeneratorSet(3, [u1, u2]))
-    assert is_solvable(L)
-    assert L.derived_dims[-1] == 0
-    assert all(a >= b for a, b in zip(L.derived_dims, L.derived_dims[1:]))
+    G = GeneratorSet(3, [u1, u2])
+    assert is_solvable(G) and _reference_solvable(G)
+    U = random_unimodular(rng(37), 3)
+    conj = GeneratorSet(3, [U @ u @ U.inverse() for u in (u1, u2)])
+    assert is_solvable(conj) and is_solvable(conj.to_float())
+    # float rounding grows with the entries; the threshold grows with them
+    big = GeneratorSet(3, [A.to_float().scale(1e6) for A in conj.gens])
+    assert is_solvable(big)
 
 
-def test_lie_closure_sl2_not_solvable():
+def test_is_solvable_sl2():
     G = GeneratorSet(2, [Matrix.exact([[0, 1], [0, 0]]), Matrix.exact([[0, 0], [1, 0]])])
-    L = lie_closure(G)
-    assert L.dim == 3
-    assert not is_solvable(L)
-    # derived series stabilizes at the traceless part
-    assert L.derived_dims[-1] == 3
+    assert not is_solvable(G) and not is_solvable(G.to_float())
+    assert not is_solvable(GeneratorSet(2, [A.to_float().scale(1e6) for A in G.gens]))
+    assert not _reference_solvable(G)
 
 
-def test_lie_closure_single_generator_abelian():
-    r = rng(37)
-    A = random_exact_matrix(r, 4, 4)
-    L = lie_closure(GeneratorSet(4, [A]))
-    assert L.dim == 1
-    assert is_solvable(L)
+def test_is_solvable_single_generator():
+    A = random_exact_matrix(rng(37), 4, 4)
+    assert is_solvable(GeneratorSet(4, [A])) and _reference_solvable(GeneratorSet(4, [A]))
+    assert is_solvable(GeneratorSet(4, []))
 
 
-def test_lie_closure_bracket_closed():
-    r = rng(39)
-    G = GeneratorSet(3, [random_exact_matrix(r, 3, 3) for _ in range(2)])
-    L = lie_closure(G)
-    for A in G.gens:
-        for M in L.basis:
-            C = (A @ M) - (M @ A)
-            assert L.span.contains(C.flatten())
+def _solvability_families(r):
+    """Random exact families: conjugated triangular, conjugated with one
+    2x2 block, random, and diagonal; n = 2..5, m = 1..3."""
+    for kind in ("triangular", "block", "random", "diagonal"):
+        for _ in range(8):
+            n = int(r.integers(2, 6))
+            m = int(r.integers(1, 4))
+            U = random_unimodular(r, n)
+            Ui = U.inverse()
+            gens = []
+            for _ in range(m):
+                T = np.triu(r.integers(-3, 4, size=(n, n)))
+                if kind == "block":
+                    T[1, 0] = r.integers(1, 4)
+                if kind == "diagonal":
+                    T = np.diag(np.diag(T))
+                M = Matrix.exact(T.tolist())
+                if kind == "random":
+                    M = random_exact_matrix(r, n, n)
+                elif kind != "diagonal":
+                    M = U @ M @ Ui
+                gens.append(M)
+            yield kind, GeneratorSet(n, gens)
+
+
+def test_is_solvable_matches_reference():
+    outcomes = set()
+    for kind, G in _solvability_families(rng(41)):
+        want = _reference_solvable(G)
+        if kind in ("triangular", "diagonal"):
+            assert want
+        assert is_solvable(G) == want, (kind, G.gens)
+        Gf = G.to_float()
+        assert _reference_solvable(Gf) == want, (kind, G.gens)
+        assert is_solvable(Gf) == want, (kind, G.gens)
+        outcomes.add((kind, want))
+    assert ("block", False) in outcomes and ("random", False) in outcomes
 
 
 def test_verdicts():

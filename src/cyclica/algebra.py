@@ -36,6 +36,7 @@ from .linalg import (
     min_poly,
     mod_p,
     mod_p_product,
+    vector,
 )
 from .scalars import QQi
 
@@ -224,13 +225,18 @@ class CyclicityCertificate:
         return self.verdict == CYCLIC
 
     def recheck(self, G: GeneratorSet) -> bool:
-        """Re-validate the certificate against the generators."""
+        """Re-validate the certificate against the generators.  Never
+        raises: a witness or covector outside G's n-space fails the check."""
         if self.verdict == CYCLIC:
+            if not _in_space(self.witness, G):
+                return False
             orb = _witness_orbit(G, self.witness)
             return orb.is_full() and orb.dim == self.orbit_dim
         if self.verdict == NOT_CYCLIC:
             if self.obstruction_covector is not None and self.witness is not None:
-                p = self.obstruction_covector
+                if not (_in_space(self.obstruction_covector, G) and _in_space(self.witness, G)):
+                    return False
+                p = vector(self.obstruction_covector, G.backend)
                 return not _vec_is_zero(p, G) and all(
                     _pairing_is_zero(p, v, G) for v in _witness_orbit(G, self.witness).basis
                 )
@@ -238,7 +244,8 @@ class CyclicityCertificate:
                 mu, P = self.obstruction_locus
                 # one covector cannot exclude a cyclic vector, and covectors
                 # outside G's field (float ones for exact G) cannot be checked
-                if P.dim < 2 or len(mu) != G.m or P.backend != G.backend:
+                if (P.dim < 2 or len(mu) != G.m or P.backend != G.backend
+                        or not _in_space(P, G)):
                     return False
                 eye = Matrix.identity(G.n, G.backend, G.tol)
                 for p in P.basis:
@@ -251,6 +258,13 @@ class CyclicityCertificate:
             # zero-vector style verdicts carry the orbit itself
             return self.orbit_dim is not None and self.orbit_dim < G.n
         return True
+
+
+def _in_space(x, G):
+    """Whether x is a vector of length n or a subspace of the n-space."""
+    if isinstance(x, Subspace):
+        return x.ambient_dim == G.n
+    return len(x) == G.n
 
 
 def _witness_orbit(G, witness):

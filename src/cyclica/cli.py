@@ -171,7 +171,7 @@ def _cmd_decompose(payload, config, tol):
             )
         except decomp.InconclusiveError:
             witness = None
-    return serialize.decomposition_to_json(btf, summary, witness), "ok"
+    return serialize.decomposition_to_json(summary, witness), "ok"
 
 
 def _cmd_hautus(payload, config, tol, r):

@@ -7,16 +7,23 @@ of block dimensions are invariants of the input; the diagonal blocks group
 into isomorphism classes, and comparing each class's block dimension with
 its multiplicity is the d >= k sufficiency test for dense cyclic vectors.
 
-Irreducibility of a diagonal block is certified only through the closure
-dimension (dim d^2 iff the block acts irreducibly); a failed random search
-never certifies anything.  When the probing budget runs out on a reducible
-input the splitter raises :class:`InconclusiveError` instead of guessing.
+The splitter spins vectors before it proves anything, as the MeatAxe does:
+orbits of coordinate vectors and covectors first, then eigenvectors of
+generators, products and random algebra elements, then random vectors, with
+a fixed budget (RETRIES) for the random stages.  The first proper orbit is
+the split.  Irreducibility of a diagonal block is certified only through
+the closure dimension (dim d^2 iff the block acts irreducibly), and the
+closure is computed only once the coordinate orbits find no split; a failed
+random search never certifies anything.  When the budget runs out on a
+reducible input the splitter raises :class:`InconclusiveError` instead of
+guessing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +54,9 @@ from .scalars import QQi
 
 class InconclusiveError(RuntimeError):
     """Probing budget exhausted without a verdict; never a wrong answer."""
+
+
+RETRIES = 20  # random algebra elements, and random vectors, per search
 
 
 # ---------------------------------------------------------------------------
@@ -83,57 +93,38 @@ def _factor_exact(p: Polynomial):
     return out
 
 
-def _proper(S: Subspace):
-    return 0 < S.dim < S.ambient_dim
-
-
-def _probe_vector(G, v):
-    """Orbit of v if it is a proper invariant subspace, else None."""
-    O = vector_orbit(G, v)
-    return O if _proper(O) else None
-
-
-def _probe_dual_vector(G_t, p):
-    O = vector_orbit(G_t, p)
-    if _proper(O):
-        return annihilator(O)
+def _split(G, G_t, vectors, covectors):
+    """The first proper orbit of a vector, else the annihilator of the first
+    proper orbit of a covector under the transposed generators, else None.
+    The covectors are not touched while a vector can still split."""
+    for v in vectors:
+        O = vector_orbit(G, v)
+        if 0 < O.dim < G.n:
+            return O
+    for p in covectors:
+        O = vector_orbit(G_t, p)
+        if 0 < O.dim < G.n:
+            return annihilator(O)
     return None
 
 
-def _eigen_probes_exact(G, G_t, R):
-    """Probe kernels of irreducible factors of R's minimal polynomial."""
-    p = min_poly(R)
-    if p.degree < 1:
-        return None
-    for f in _factor_exact(p):
-        if f.degree == 0:
-            continue
-        K = kernel(f(R))
-        for v in K.basis:
-            hit = _probe_vector(G, v)
-            if hit is not None:
-                return hit
-        Kt = kernel(f(R.T))
-        for q in Kt.basis:
-            hit = _probe_dual_vector(G_t, q)
-            if hit is not None:
-                return hit
-    return None
+def _kernel_basis(M):
+    """The kernel basis of M, computed on first use."""
+    yield from kernel(M).basis
 
 
-def _eigen_probes_float(G, G_t, R):
-    tol = G.tol
-    for lam, _mult in eigenvalues(R, tol):
-        shifted = Matrix(R.to_float().data - lam * np.eye(G.n), FLOAT, tol=tol)
-        for v in kernel(shifted).basis:
-            hit = _probe_vector(G, v)
-            if hit is not None:
-                return hit
-        for q in kernel(shifted.T).basis:
-            hit = _probe_dual_vector(G_t, q)
-            if hit is not None:
-                return hit
-    return None
+def _eigen_matrices(G, R):
+    """Matrices M whose kernels hold the eigenvectors of R, one at a time:
+    f(R) for every irreducible factor f over Q(i) of R's minimal polynomial
+    on exact inputs, R - lambda I for every eigenvalue on float ones.  The
+    kernel of M^T holds the matching left eigenvectors, as f(R)^T = f(R^T)."""
+    if G.backend == EXACT:
+        for f in _factor_exact(min_poly(R)):
+            if f.degree > 0:
+                yield f(R)
+    else:
+        for lam, _mult in eigenvalues(R, G.tol):
+            yield Matrix(R.to_float().data - lam * np.eye(G.n), FLOAT, tol=G.tol)
 
 
 def _random_algebra_element(basis_matrices, rng, backend, tol):
@@ -149,56 +140,45 @@ def _random_algebra_element(basis_matrices, rng, backend, tol):
     return acc
 
 
-def find_invariant_subspace(G: GeneratorSet, retries=20, seed=0):
+def find_invariant_subspace(G: GeneratorSet, seed=0):
     """A proper nonzero subspace invariant under every generator, or None.
 
-    None is certified: it is returned only when the algebra closure has full
-    dimension n^2, which happens exactly for irreducible inputs.  The search
-    escalates from orbits of coordinate vectors through eigenspace probing
-    of random algebra elements to random vectors, and raises
-    InconclusiveError when the budget is exhausted.
+    The search spins vectors and covectors and takes the first orbit that
+    is proper, in this order: coordinate vectors; eigenvectors of the
+    generators, their pairwise products and RETRIES random algebra
+    elements; RETRIES random vectors.  A split is returned only when an
+    orbit is proper.  None is certified: the algebra closure is computed
+    only after the coordinate orbits fail, and None is returned only when
+    it has full dimension n^2, which happens exactly for irreducible
+    inputs.  A reducible input that survives every stage raises
+    InconclusiveError.
     """
-    n = G.n
-    cl = closure(G)
-    if cl.dim == n * n:
-        return None
-    if n == 1:
-        return None  # 1-dimensional module has no proper nonzero subspace
     G_t = G.transposed()
-    # orbits of coordinate vectors, both sides
-    coordinate = Matrix.identity(n, G.backend, G.tol).row_vectors()
-    for v in coordinate:
-        hit = _probe_vector(G, v)
-        if hit is not None:
-            return hit
-    for p in coordinate:
-        hit = _probe_dual_vector(G_t, p)
-        if hit is not None:
-            return hit
-    # eigenspace probing: generators and products first, then random elements
-    probes = list(G.gens)
-    for A in G.gens:
-        for B in G.gens:
-            probes.append(A @ B)
-    for t in range(retries):
-        rng = _trial_rng(seed, t)
-        probes.append(_random_algebra_element(cl.matrices, rng, G.backend, G.tol))
-    eigen_probes = _eigen_probes_exact if G.backend == EXACT else _eigen_probes_float
+    coordinate = Matrix.identity(G.n, G.backend, G.tol).row_vectors()
+    hit = _split(G, G_t, coordinate, coordinate)
+    if hit is not None:
+        return hit
+    cl = closure(G)
+    if cl.dim == G.n * G.n:
+        return None
+    probes = chain(
+        G.gens,
+        (A @ B for A in G.gens for B in G.gens),
+        (_random_algebra_element(cl.matrices, _trial_rng(seed, t), G.backend, G.tol)
+         for t in range(RETRIES)),
+    )
     seen = set()
     for R in probes:
         if R in seen:
             continue  # equal probes give equal answers
         seen.add(R)
-        hit = eigen_probes(G, G_t, R)
-        if hit is not None:
-            return hit
-    # random vectors on both sides
-    for t in range(retries):
+        for M in _eigen_matrices(G, R):
+            hit = _split(G, G_t, kernel(M).basis, _kernel_basis(M.T))
+            if hit is not None:
+                return hit
+    for t in range(RETRIES):
         v = sample_vector(G, _trial_rng(seed, 10_000 + t))
-        hit = _probe_vector(G, v)
-        if hit is not None:
-            return hit
-        hit = _probe_dual_vector(G_t, v)
+        hit = _split(G, G_t, [v], [v])
         if hit is not None:
             return hit
     raise InconclusiveError(
@@ -261,20 +241,19 @@ def _completion_basis(W: Subspace):
     return Matrix.from_cols(cols, W.backend, tol=W.tol)
 
 
-def block_triangularize(G: GeneratorSet, retries=20, seed=0) -> BlockTriangularForm:
+def block_triangularize(G: GeneratorSet, seed=0) -> BlockTriangularForm:
     """Composition series: recursive splitting along invariant subspaces."""
-    n = G.n
-    P, dims = _triangularize_rec(G, retries, seed)
+    P, dims = _triangularize_rec(G, seed)
     P_inv = P.inverse()
     transformed = [P_inv @ A @ P for A in G.gens]
     return BlockTriangularForm(G, P, dims, transformed)
 
 
-def _triangularize_rec(G, retries, seed):
+def _triangularize_rec(G, seed):
     n = G.n
     if n == 0:
         return Matrix.identity(0, G.backend, G.tol), []
-    W = find_invariant_subspace(G, retries, seed)
+    W = find_invariant_subspace(G, seed)
     if W is None:
         return Matrix.identity(n, G.backend, G.tol), [n]
     P = _completion_basis(W)
@@ -283,8 +262,8 @@ def _triangularize_rec(G, retries, seed):
     w = W.dim
     top = GeneratorSet(w, [A.block(0, w, 0, w) for A in conj], tol=G.tol)
     bottom = GeneratorSet(n - w, [A.block(w, n, w, n) for A in conj], tol=G.tol)
-    P_top, dims_top = _triangularize_rec(top, retries, seed)
-    P_bot, dims_bot = _triangularize_rec(bottom, retries, seed)
+    P_top, dims_top = _triangularize_rec(top, seed)
+    P_bot, dims_bot = _triangularize_rec(bottom, seed)
     P_total = P @ Matrix.block_diag([P_top, P_bot], G.backend, G.tol)
     return P_total, dims_top + dims_bot
 
@@ -309,12 +288,6 @@ class IsotypicClass:
 class IsotypicSummary:
     btf: BlockTriangularForm
     classes: list
-
-    def class_of(self, block_index):
-        for c, cls in enumerate(self.classes):
-            if block_index in cls.members:
-                return c
-        raise KeyError(block_index)
 
 
 def _intertwiner(family_a, family_b, backend, tol):

@@ -364,7 +364,7 @@ class MrbReport:
     witness: object = None
     obstruction: object = None
     hautus_verdict_r1: str | None = None
-    decomposition: dict | None = None
+    decomposition: object = None  # decomp.IsotypicSummary
     perturbation: PerturbationResult | None = None
     design: object = None
     notes: list = field(default_factory=list)
@@ -413,22 +413,8 @@ def analyze(sys: MrbSystem, trials=64, seed=0) -> MrbReport:
 
     report.hautus_verdict_r1 = hautus_mod.hautus_verdict(G, 1)
     try:
-        btf = decomp_mod.block_triangularize(G)
-        summary = decomp_mod.classify_blocks(btf)
-        report.decomposition = {
-            "block_dims": list(btf.block_dims),
-            "classes": [
-                {
-                    "members": list(cls.members),
-                    "d": cls.block_dim,
-                    "multiplicity": cls.multiplicity,
-                }
-                for cls in summary.classes
-            ],
-            "theorem_condition": decomp_mod.multiplicity_condition(summary),
-        }
+        report.decomposition = decomp_mod.classify_blocks(decomp_mod.block_triangularize(G))
     except decomp_mod.InconclusiveError as exc:
-        report.decomposition = None
         notes.append(f"decomposition inconclusive: {exc}")
 
     if len(sys.axes) == 2 and not sys.extra_controls:

@@ -137,9 +137,6 @@ class QQi:
             return NotImplemented
         return other / self
 
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
@@ -188,7 +185,3 @@ def as_qqi(x) -> QQi:
         return QQi(Fraction(x.real), Fraction(x.imag))
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())

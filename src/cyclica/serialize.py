@@ -231,12 +231,11 @@ def locus_to_json(locus: hautus.RankDropLocus):
     }
 
 
-def decomposition_to_json(btf: decomp.BlockTriangularForm,
-                          summary: decomp.IsotypicSummary,
-                          witness=None):
-    out = {
-        "block_dims": list(btf.block_dims),
-        "change_of_basis": matrix_to_json(btf.change_of_basis),
+def _blocks_to_json(summary: decomp.IsotypicSummary):
+    """Block dimensions, isomorphism classes and the d >= k condition: the
+    part of a decomposition that both the decompose and mrb reports carry."""
+    return {
+        "block_dims": list(summary.btf.block_dims),
         "classes": [
             {
                 "members": list(cls.members),
@@ -246,8 +245,13 @@ def decomposition_to_json(btf: decomp.BlockTriangularForm,
             for cls in summary.classes
         ],
         "theorem_condition": decomp.multiplicity_condition(summary),
-        "block_diagonal": decomp.is_block_diagonal(btf),
     }
+
+
+def decomposition_to_json(summary: decomp.IsotypicSummary, witness=None):
+    out = _blocks_to_json(summary)
+    out["change_of_basis"] = matrix_to_json(summary.btf.change_of_basis)
+    out["block_diagonal"] = decomp.is_block_diagonal(summary.btf)
     if witness is not None:
         out["witness"] = vector_to_json(witness)
     return out
@@ -296,7 +300,7 @@ def mrb_report_to_json(rep: mrb.MrbReport):
             "covectors": subspace_to_json(P),
         }
     if rep.decomposition is not None:
-        out["decomposition"] = rep.decomposition
+        out["decomposition"] = _blocks_to_json(rep.decomposition)
     if rep.perturbation is not None:
         out["perturbation"] = perturbation_to_json(rep.perturbation)
     if rep.design is not None:

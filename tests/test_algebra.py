@@ -345,3 +345,22 @@ def test_zero_obstruction_covector_rechecks_false():
         NOT_CYCLIC, witness=e3, orbit_dim=3, obstruction_covector=(QQi(0),) * 3
     )
     assert forged.recheck(G) is False
+
+
+def test_certificate_outside_the_space_rechecks_false():
+    # vectors and subspaces of the wrong dimension fail the check, never raise
+    G = GeneratorSet(3, [J3_AT_2])
+    e1 = (QQi(1), QQi(0), QQi(0))
+    short = (QQi(1), QQi(2))
+    forged = [
+        CyclicityCertificate(NOT_CYCLIC, witness=e1, orbit_dim=1, obstruction_covector=short),
+        CyclicityCertificate(NOT_CYCLIC, obstruction_locus=((QQi(2),), Subspace.full(4))),
+        CyclicityCertificate(CYCLIC, witness=short, orbit_dim=3),
+        CyclicityCertificate(CYCLIC, witness=Subspace.full(4), orbit_dim=3),
+    ]
+    for cert in forged:
+        assert cert.recheck(G) is False
+    # plain integer entries are read as field elements
+    honest = CyclicityCertificate(NOT_CYCLIC, witness=(1, 0, 0), orbit_dim=1,
+                                  obstruction_covector=(0, 0, 1))
+    assert honest.recheck(G) is True

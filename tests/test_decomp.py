@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_matrix, random_unimodular, rng
-from cyclica.algebra import GeneratorSet, closure, find_cyclic_vector, is_cyclic_vector
+from cyclica.algebra import (
+    GeneratorSet,
+    closure,
+    find_cyclic_vector,
+    is_cyclic_vector,
+    vector_orbit,
+)
 from cyclica.decomp import (
     InconclusiveError,
     block_diagonal_orbit_bound,
@@ -34,6 +40,32 @@ def test_invariant_subspace_jordan():
 
 def test_invariant_subspace_none_iff_irreducible():
     assert find_invariant_subspace(GeneratorSet(2, [E12, E21])) is None
+
+
+def test_invariant_subspace_skips_closure_when_an_orbit_splits(monkeypatch):
+    calls = []
+
+    def counting_closure(G):
+        calls.append(G.n)
+        return closure(G)
+
+    monkeypatch.setattr("cyclica.decomp.closure", counting_closure)
+    W = find_invariant_subspace(GeneratorSet(3, [J3]))
+    assert W is not None and 0 < W.dim < 3 and calls == []
+    assert find_invariant_subspace(GeneratorSet(2, [E12, E21])) is None
+    assert calls == [2]
+
+
+def test_eigen_probes_split_a_conjugated_diagonal():
+    # A = U diag(1, 2, 3) U^-1: no coordinate vector or covector has a proper
+    # orbit, so the split comes from the eigenspaces of the generator
+    A = Matrix.exact([[0, 1, 0], [0, -1, 2], [3, -9, 7]])
+    G = GeneratorSet(3, [A])
+    coordinate = Matrix.identity(3).row_vectors()
+    for H in (G, G.transposed()):
+        assert all(vector_orbit(H, v).is_full() for v in coordinate)
+    assert block_triangularize(G).block_dims == [1, 1, 1]
+    assert block_triangularize(G.to_float()).block_dims == [1, 1, 1]
 
 
 def test_invariant_subspace_verified_invariant_random():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import rng
 from cyclica.algebra import GeneratorSet, find_cyclic_vector, single_generator_cyclic
+from cyclica.decomp import multiplicity_condition
 from cyclica.linalg import Matrix, Subspace, annihilator, eigenvalues, min_poly
 from cyclica.mrb import (
     InertiaSpec,
@@ -250,7 +251,7 @@ def test_analyze_adjacent_axes():
     assert rep.witness is not None
     assert rep.perturbation is not None
     assert rep.perturbation.flags["z5_vanishes"]
-    assert rep.decomposition["theorem_condition"]
+    assert multiplicity_condition(rep.decomposition)
 
 
 def test_analyze_disjoint_axes():
@@ -262,7 +263,7 @@ def test_analyze_disjoint_axes():
         assert all(p[i].is_zero() for i in range(1, 5))
     assert rep.design.r == 2 and rep.design.certified
     assert rep.hautus_verdict_r1 == "no_cyclic_subspace"
-    assert not rep.decomposition["theorem_condition"]
+    assert not multiplicity_condition(rep.decomposition)
 
 
 def test_analyze_full_control_trivial():

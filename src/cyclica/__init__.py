@@ -56,7 +56,6 @@ from .linalg import (
     annihilator,
     char_poly,
     eigenvalues,
-    intersect,
     kernel,
     min_poly,
     rank,

@@ -363,15 +363,8 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertifica
         if cert.is_cyclic:
             cert.trials_used = t + 1
             return cert
-    # no witness: look for a proof that none exists
-    if G.m == 0:
-        # only scalars act; every orbit is a line, and the full dual space
-        # plays the role of the obstruction covector family
-        return CyclicityCertificate(
-            NOT_CYCLIC,
-            obstruction_locus=((), Subspace.full(G.n, G.backend, G.tol)),
-            trials_used=trials,
-        )
+    # no witness: look for a proof that none exists (with no generators the
+    # empty tuple's full covector space is the obstruction)
     from . import hautus
 
     locus = hautus.rank_drop_locus(G)
@@ -417,13 +410,6 @@ def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0) -> MinimalCycli
         raise ValueError("need at least one trial")
     n = G.n
     trail = []
-    if G.m == 0:
-        # only scalars act: a subspace is cyclic iff it is everything
-        trail.append("no generators: orbit(B) = B, so r = n")
-        return MinimalCyclicResult(
-            r=n, witness=Subspace.full(n, G.backend, G.tol), lower_bound=n,
-            certified=True, solvable=True, trail=trail,
-        )
     from . import hautus
 
     locus = hautus.rank_drop_locus(G)

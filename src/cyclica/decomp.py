@@ -290,19 +290,18 @@ class IsotypicSummary:
     classes: list
 
 
-def _intertwiner(family_a, family_b, backend, tol):
-    """Nonzero X with X A = B X jointly over the families, or None.
+def _intertwiner(family_a, family_b, d, backend, tol):
+    """Nonzero d x d X with X A = B X jointly over the families, or None.
 
     Between irreducible families a nonzero solution is automatically
     invertible; invertibility is verified anyway.
     """
-    d = family_a[0].rows
     eye = Matrix.identity(d, backend, tol)
     zero = Matrix.zeros(d * d, d * d, backend, tol)
     # X A - B X flattened row-major is (I (x) A^T - B (x) I) vec(X), stacked
     # over the family; adding onto zeros keeps float zeros unsigned
     blocks = [zero + eye.kron(A.T) - B.kron(eye) for A, B in zip(family_a, family_b)]
-    M = Matrix.from_rows([r for blk in blocks for r in blk.row_vectors()], backend, tol)
+    M = Matrix([r for blk in blocks for r in blk.row_vectors()], backend, tol, cols=d * d)
     K = kernel(M)
     if K.dim == 0:
         return None
@@ -324,7 +323,7 @@ def classify_blocks(btf: BlockTriangularForm) -> IsotypicSummary:
             first = cls.members[0]
             if btf.block_dims[first] != btf.block_dims[i]:
                 continue
-            X = _intertwiner(families[i], families[first], backend, tol)
+            X = _intertwiner(families[i], families[first], btf.block_dims[i], backend, tol)
             if X is not None:
                 cls.members.append(i)
                 cls.intertwiners[i] = X

@@ -7,12 +7,15 @@ common left-eigencovector space
     P_mu = { p : p (A_j - mu_j I) = 0 for all j }
 
 is nonzero.  Each coordinate of a rank-drop tuple must be an eigenvalue of
-its generator, so the locus is found by scanning the Cartesian product of
-the spectra.  Covectors are reported as row vectors throughout.
+its generator, so the locus is found by a depth-first search over the
+spectra from the empty tuple, whose space is all covectors: each prefix
+takes the kernel of its own stacked block and is extended only while that
+kernel is nonzero.  Covectors are reported as row vectors throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import closure
-from .linalg import EXACT, Matrix, Subspace, cluster_values, intersect, is_negligible, kernel
+from .linalg import EXACT, FLOAT, Matrix, Subspace, cluster_values, is_negligible, kernel
 from .linalg import char_poly as _char_poly
 from .scalars import DEFAULT_TOL, QQi
 
@@ -33,12 +36,16 @@ NECESSARY_HOLDS_ONLY = "necessary_holds_only"
 class LocusEntry:
     mu: tuple  # one value per generator (QQi when verified exactly, else complex)
     covectors: Subspace  # P_mu, canonical, as row covectors
-    rank_value: int  # n - dim P_mu
     exact: bool  # True when computed over the exact backend
 
     @property
     def dim_p(self):
         return self.covectors.dim
+
+    @property
+    def rank_value(self):
+        """Rank of the stacked block, n - dim P_mu."""
+        return self.covectors.ambient_dim - self.dim_p
 
 
 @dataclass
@@ -113,22 +120,18 @@ def generator_spectrum(A: Matrix, tol=None):
     return out, False
 
 
-def _shifted_left_kernel(A: Matrix, mu):
-    """Covectors p with p(A - mu I) = 0, i.e. the kernel of (A - mu I)^T,
-    in the arithmetic of A."""
-    shifted = A - Matrix.identity(A.rows, A.backend, A.tol).scale(mu)
-    return kernel(shifted.T)
-
-
 def rank_drop_locus(G) -> RankDropLocus:
     """All tuples mu with nonzero common left-eigencovector space.
 
-    Tuples whose coordinates are all exactly verified eigenvalues are
-    processed with exact kernels; any other tuple falls back to the float
-    backend and marks the locus as partially numeric.
+    A depth-first search over prefixes (mu_1, ..., mu_j) from the empty
+    tuple, the root: the covector space of a prefix is the kernel of the
+    stacked block [(A_1 - mu_1 I)^T; ...; (A_j - mu_j I)^T], so the root has
+    the full space, and a prefix whose space is zero is not extended.  A
+    prefix whose coordinates are all exactly verified eigenvalues of exact
+    generators is computed exactly; any other takes all of its blocks from
+    the float copies of the generators and marks the locus as partially
+    numeric.
     """
-    if G.m < 1:
-        raise ValueError("rank-drop locus needs at least one generator")
     tol = G.tol or DEFAULT_TOL
     spectra = []
     flags = []
@@ -138,36 +141,32 @@ def rank_drop_locus(G) -> RankDropLocus:
         if merged:
             flags.append("degenerate_spectrum")
 
-    # left-kernels once per (generator, candidate): exact ones up front (only
-    # exact generators have exactly verified eigenvalues), float ones on
-    # first use by a tuple with a coordinate that is not exact
-    exact_kernels = [[_shifted_left_kernel(A, value) if is_exact else None
-                      for value, _, is_exact in spec]
-                     for A, spec in zip(G.gens, spectra)]
     floats = [A.to_float(tol) for A in G.gens]
-    float_kernels = {}
 
-    def float_kernel(j, idx):
-        if (j, idx) not in float_kernels:
-            float_kernels[j, idx] = _shifted_left_kernel(floats[j], spectra[j][idx][0])
-        return float_kernels[j, idx]
+    @functools.cache
+    def block_rows(j, idx, exact):
+        """Rows of (A_j - mu I)^T for the idx-th candidate mu of A_j."""
+        A = G.gens[j] if exact else floats[j]
+        shifted = A - Matrix.identity(G.n, A.backend, A.tol).scale(spectra[j][idx][0])
+        return shifted.T.row_vectors()
 
     entries = []
-    numeric_used = False
-    for combo in itertools.product(*(range(len(s)) for s in spectra)):
-        all_exact = all(exact_kernels[j][idx] is not None for j, idx in enumerate(combo))
-        P = None
-        for j, idx in enumerate(combo):
-            K = exact_kernels[j][idx] if all_exact else float_kernel(j, idx)
-            P = K if P is None else intersect(P, K)
-            if P.dim == 0:
-                break
-        if P.dim > 0:
-            mu = tuple(spectra[j][idx][0] for j, idx in enumerate(combo))
-            entries.append(LocusEntry(mu, P, G.n - P.dim, all_exact))
-            if not all_exact:
-                numeric_used = True
-    if numeric_used:
+
+    def search(prefix, exact):
+        stacked = [r for j, idx in enumerate(prefix) for r in block_rows(j, idx, exact)]
+        P = kernel(Matrix(stacked, EXACT if exact else FLOAT, tol, cols=G.n))
+        if P.dim == 0:
+            return
+        j = len(prefix)
+        if j == G.m:
+            mu = tuple(spectra[i][idx][0] for i, idx in enumerate(prefix))
+            entries.append(LocusEntry(mu, P, exact))
+            return
+        for idx, (_, _, is_exact) in enumerate(spectra[j]):
+            search(prefix + (idx,), exact and is_exact)
+
+    search((), G.backend == EXACT)
+    if not all(e.exact for e in entries):
         flags.append("numeric_candidates")
     # deterministic order: by the coordinates' real, then imaginary parts
     def key(e):

@@ -631,15 +631,6 @@ class Subspace:
     def is_zero(self):
         return self.dim == 0
 
-    def union_span(self, other):
-        """Smallest subspace containing both."""
-        _same_backend(self, other)
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        sb = self.builder()
-        sb.add_all(other.basis)
-        return sb.subspace()
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -713,15 +704,6 @@ def annihilator(S: Subspace) -> Subspace:
     if S.dim == 0:
         return Subspace.full(S.ambient_dim, S.backend, S.tol)
     return kernel(S.basis_matrix())
-
-
-def intersect(S1: Subspace, S2: Subspace) -> Subspace:
-    """S1 intersected with S2 via annihilator duality."""
-    _same_backend(S1, S2)
-    if S1.ambient_dim != S2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    a = annihilator(S1).union_span(annihilator(S2))
-    return annihilator(a)
 
 
 # ---------------------------------------------------------------------------

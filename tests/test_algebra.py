@@ -269,6 +269,14 @@ def test_minimal_cyclic_dimension_no_generators():
     assert res.r == 3 and res.certified
 
 
+def test_find_cyclic_vector_no_generators_is_obstructed_by_the_empty_tuple():
+    G = GeneratorSet(3, [])
+    cert = find_cyclic_vector(G, trials=4, seed=0)
+    assert cert.verdict == NOT_CYCLIC and cert.trials_used == 4
+    assert cert.obstruction_locus == ((), Subspace.full(3))
+    assert cert.recheck(G)
+
+
 def test_certificate_soundness_random_instances():
     r = rng(30)
     for _ in range(20):

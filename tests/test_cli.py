@@ -109,6 +109,18 @@ def test_hautus_r_flag(capsys):
     assert report["config"]["r"] == 1
 
 
+def test_hautus_without_generators(capsys):
+    code, out, _ = run_cli(
+        capsys, ["hautus", "--r", "1", "--input", json.dumps({"n": 2, "generators": []})]
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    [entry] = result["locus"]["entries"]
+    assert entry["mu"] == [] and entry["covectors"]["basis"] == [[1, 0], [0, 1]]
+    assert result["locus"]["max_drop"] == 2
+    assert result["verdict"] == "no_cyclic_subspace"
+
+
 def test_reports_are_deterministic(capsys):
     args = ["cyclic-vector", "--input", json.dumps({"generators": GENS_JORDAN}),
             "--seed", "7"]
@@ -170,6 +182,29 @@ def test_decompose_command(capsys):
     assert result["block_dims"] == [1, 1, 1]
     assert result["theorem_condition"] is False
     assert result["classes"][0]["multiplicity"] == 3
+
+
+def test_decompose_without_generators(capsys):
+    code, out, _ = run_cli(
+        capsys, ["decompose", "--input", json.dumps({"n": 2, "generators": []})]
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["block_dims"] == [1, 1]
+    assert [c["multiplicity"] for c in result["classes"]] == [2]
+    assert result["theorem_condition"] is False
+
+
+def test_mrb_analyze_without_axes(capsys):
+    code, out, _ = run_cli(
+        capsys, ["mrb", "analyze", "--input", json.dumps({"n": 3, "C": [1, 2, 3], "axes": []})]
+    )
+    assert code == 0
+    analysis = json.loads(out)["result"]["analysis"]
+    assert analysis["verdict"] == "no_single_direction"
+    assert analysis["obstruction"]["mu"] == []
+    assert analysis["obstruction"]["covectors"]["dim"] == 3
+    assert analysis["design"]["r"] == 3 and analysis["design"]["certified"] is True
 
 
 def test_corpus_all_pass(capsys):

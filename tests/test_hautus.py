@@ -14,7 +14,7 @@ from cyclica.hautus import (
     is_solvable,
     rank_drop_locus,
 )
-from cyclica.linalg import EXACT, Matrix, SpanBuilder, rank
+from cyclica.linalg import EXACT, Matrix, SpanBuilder, Subspace, rank
 from cyclica.scalars import DEFAULT_TOL, QQi, ToleranceContext
 
 
@@ -268,16 +268,62 @@ def test_all_exact_locus_builds_no_float_kernels(monkeypatch):
     from cyclica import hautus
 
     built = []
-    original = hautus._shifted_left_kernel
+    original = hautus.kernel
 
-    def counting(A, mu):
-        built.append(A.backend)
-        return original(A, mu)
+    def recording(M):
+        built.append(M.backend)
+        return original(M)
 
-    monkeypatch.setattr(hautus, "_shifted_left_kernel", counting)
+    monkeypatch.setattr(hautus, "kernel", recording)
     T1 = Matrix.exact([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
     T2 = Matrix.exact([[2, 0, 1], [0, 1, 1], [0, 0, -1]])
     G = GeneratorSet(6, [Matrix.block_diag([T1, T1]), Matrix.block_diag([T2, T2])])
     locus = rank_drop_locus(G)
     assert locus.entries and all(e.exact for e in locus.entries)
     assert built and set(built) == {EXACT}
+
+
+def rounded(mu):
+    return tuple(complex(round(complex(v).real, 6), round(complex(v).imag, 6)) for v in mu)
+
+
+def test_locus_complete_on_doubled_triangular_families():
+    # U (T + T) U^-1 with T upper triangular of distinct integer diagonal:
+    # every rank drop sits on the product of the diagonals, so checking each
+    # tuple there directly gives the whole locus
+    r = rng(41)
+    for k, m, _ in itertools.product((2, 3), (1, 2, 3), range(3)):
+        n = 2 * k
+        U = random_unimodular(r, n)
+        U_inv = U.inverse()
+        diagonals, gens = [], []
+        for _ in range(m):
+            diag = [int(x) for x in r.choice(np.arange(-3, 4), size=k, replace=False)]
+            upper = [[int(x) for x in row] for row in r.choice([-1, 0, 0, 1], size=(k, k))]
+            T = Matrix.exact([[diag[i] if i == j else upper[i][j] * (j > i) for j in range(k)]
+                              for i in range(k)])
+            diagonals.append(diag)
+            gens.append(U @ Matrix.block_diag([T, T]) @ U_inv)
+        G = GeneratorSet(n, gens)
+        reference = {}
+        for mu in itertools.product(*diagonals):
+            drop = n - rank(stacked_block(G, [QQi(v) for v in mu]))
+            if drop:
+                reference[mu] = drop
+        locus = rank_drop_locus(G)
+        assert all(e.exact for e in locus.entries)
+        assert {e.mu: e.dim_p for e in locus.entries} == {
+            tuple(QQi(v) for v in mu): drop for mu, drop in reference.items()}
+        float_locus = rank_drop_locus(G.to_float())
+        assert {rounded(e.mu): e.dim_p for e in float_locus.entries} == {
+            rounded(mu): drop for mu, drop in reference.items()}
+
+
+def test_locus_without_generators_is_the_empty_tuple():
+    for n in (1, 3):
+        locus = rank_drop_locus(GeneratorSet(n, []))
+        assert [e.mu for e in locus.entries] == [()]
+        assert locus.entries[0].covectors == Subspace.full(n)
+        assert locus.max_drop == n and locus.entries[0].rank_value == 0
+        assert locus.entries[0].exact and locus.flags == []
+    assert hautus_verdict(GeneratorSet(2, []), 1) == NO_CYCLIC_SUBSPACE

@@ -22,7 +22,6 @@ from cyclica.linalg import (
     annihilator,
     char_poly,
     eigenvalues,
-    intersect,
     kernel,
     min_poly,
     rank,
@@ -65,33 +64,6 @@ def test_kernel_vectors_annihilated():
             assert all(x.is_zero() for x in M.apply(v))
 
 
-def test_intersect_self_and_coordinates():
-    S = Subspace.from_vectors(3, [[1, 2, 3], [0, 1, 1]])
-    assert intersect(S, S) == S
-    S1 = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    S2 = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
-    I = intersect(S1, S2)
-    assert I.dim == 1 and I.basis[0] == (QQi(0), QQi(1), QQi(0))
-
-
-def test_intersect_generic_dimension():
-    r = rng(7)
-    hits = 0
-    for _ in range(10):
-        S1 = Subspace.from_vectors(4, [random_exact_vector(r, 4) for _ in range(3)])
-        S2 = Subspace.from_vectors(4, [random_exact_vector(r, 4) for _ in range(3)])
-        if S1.dim != 3 or S2.dim != 3:
-            continue
-        I = intersect(S1, S2)
-        # dimension formula is the independent check
-        assert I.dim == S1.dim + S2.dim - S1.union_span(S2).dim
-        if I.dim == 2:
-            hits += 1
-        for v in I.basis:
-            assert S1.contains(v) and S2.contains(v)
-    assert hits >= 8  # generic case dominates
-
-
 def test_annihilator_examples():
     assert annihilator(Subspace.full(3)).dim == 0
     A = annihilator(Subspace.from_vectors(3, [[1, 0, 0]]))
@@ -108,16 +80,6 @@ def test_annihilator_pairing_and_involution():
             for v in S.basis:
                 assert sum((a * b for a, b in zip(p, v)), QQi(0)).is_zero()
         assert annihilator(A) == S
-
-
-def test_dimension_formula_inclusion_exclusion():
-    r = rng(5)
-    for _ in range(20):
-        S1 = Subspace.from_vectors(5, [random_exact_vector(r, 5) for _ in range(2)])
-        S2 = Subspace.from_vectors(5, [random_exact_vector(r, 5) for _ in range(3)])
-        assert (
-            intersect(S1, S2).dim + S1.union_span(S2).dim == S1.dim + S2.dim
-        )
 
 
 def test_char_min_poly_jordan():
@@ -195,8 +157,6 @@ def test_float_subspace_operations():
     A = annihilator(S)
     assert A.dim == 1
     assert abs(A.basis[0][2]) > 0.9
-    I = intersect(S, Subspace.from_vectors(3, [[0, 1.0, 0], [0, 0, 1.0]], FLOAT, tol))
-    assert I.dim == 1
 
 
 def test_backend_mixing_rejected():

@@ -13,8 +13,12 @@ to spanning all words.
 On exact generators the span is first grown over GF(p).  A span that is
 full there is full over Q(i), which decides the most frequent question,
 whether the algebra is all of M_n (Burnside) or an orbit is the whole
-space, without Gaussian-rational elimination.  Every result short of full,
-and every obstruction, comes from the loop in the generators' own field.
+space, without Gaussian-rational elimination.  Every span short of full
+comes from the loop in the generators' own field.  The words grown over
+GF(p) are images of words over Q(i), so they can also carry a proof:
+hautus.is_solvable finds there a word whose trace against a commutator is
+nonzero mod p, which proves the Lie algebra not solvable.  No other
+obstruction is read over GF(p).
 """
 
 from __future__ import annotations
@@ -128,21 +132,34 @@ def _stabilize(sb, seeds, gens, step, coords):
     return members
 
 
-def _full_mod_p(G, seeds, ambient):
-    """Whether the images of the seeds under all words in the generators
-    span the whole ambient space over GF(p), which proves the same over
-    Q(i) (see linalg.mod_p).  False when the span falls short, and whenever
-    the generators or seeds have no image over GF(p): float entries, a
-    denominator divisible by p, or an ambient space too large for int64."""
+def _mod_p_words(G, seeds, ambient):
+    """The images over GF(p) of the words in the generators applied to the
+    seeds that enlarged their span, in the order of _stabilize, so as many
+    as the span's dimension.  Each is the image of an element of the same
+    span over Q(i) (see linalg.mod_p).  None when the generators or seeds
+    have no image over GF(p): float entries, a denominator divisible by p,
+    or an ambient space too large for int64."""
     if ambient > MOD_P_MAX_AMBIENT:
-        return False
+        return None
     gens = [mod_p(A.data) for A in G.gens]
     seeds = [mod_p(x) for x in seeds]
     if any(x is None for x in gens + seeds):
-        return False
-    sb = ModPSpan(ambient)
-    _stabilize(sb, seeds, gens, mod_p_product, np.ravel)
-    return sb.dim == ambient
+        return None
+    return _stabilize(ModPSpan(ambient), seeds, gens, mod_p_product, np.ravel)
+
+
+def _full_mod_p(G, seeds, ambient):
+    """Whether the images of the seeds under all words in the generators
+    span the whole ambient space over GF(p), which proves the same over
+    Q(i).  False when the span falls short or has no image over GF(p)."""
+    words = _mod_p_words(G, seeds, ambient)
+    return words is not None and len(words) == ambient
+
+
+def _closure_seeds(G: GeneratorSet):
+    """The entries of the identity and the generators, whose span grown
+    under the generators is the closure."""
+    return [Matrix.identity(G.n, G.backend).data] + [A.data for A in G.gens]
 
 
 def closure(G: GeneratorSet) -> AlgebraBasis:
@@ -153,7 +170,7 @@ def closure(G: GeneratorSet) -> AlgebraBasis:
     matrices.  Anything short of full is decided in G's own field.
     """
     n2 = G.n * G.n
-    if _full_mod_p(G, [Matrix.identity(G.n, G.backend).data] + [A.data for A in G.gens], n2):
+    if _full_mod_p(G, _closure_seeds(G), n2):
         span = Subspace.full(n2, G.backend, G.tol)
         units = tuple(Matrix.unflatten(e, G.n, G.n, G.backend, G.tol) for e in span.basis)
         return AlgebraBasis(G, units, span)
@@ -341,7 +358,7 @@ def sample_subspace(G: GeneratorSet, r, rng) -> Subspace:
     raise RuntimeError("failed to sample a subspace of the requested dimension")
 
 
-def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertificate:
+def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0, *, locus=None) -> CyclicityCertificate:
     """Randomized search for a cyclic vector with sound negative results.
 
     Sampling failure alone never yields "not cyclic"; that verdict requires
@@ -349,11 +366,20 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertifica
     dimension at least 2, which kills every single vector).  Trials use
     per-index derived seeds, so the outcome does not depend on evaluation
     order.
+
+    locus is G's rank-drop locus when the caller holds it, and is computed
+    after the trials otherwise.  When it has an exact entry of dimension at
+    least 2, every trial would fail, so the certificate on its worst entry
+    is returned at once with trials_used 0.  Otherwise the trials come
+    first: float entries are not exact obstructions, and the trials are
+    much cheaper than the locus when a cyclic vector exists.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if G.n == 1:
         return is_cyclic_vector(G, Matrix.identity(1, G.backend, G.tol).row(0))
+    if locus is not None and any(e.exact and e.dim_p >= 2 for e in locus):
+        return _locus_certificate(locus, trials_used=0)
     for t in range(trials):
         rng = _trial_rng(seed, t)
         b = sample_vector(G, rng)
@@ -365,17 +391,24 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0) -> CyclicityCertifica
             return cert
     # no witness: look for a proof that none exists (with no generators the
     # empty tuple's full covector space is the obstruction)
-    from . import hautus
+    if locus is None:
+        from . import hautus
 
-    locus = hautus.rank_drop_locus(G)
+        locus = hautus.rank_drop_locus(G)
+    return _locus_certificate(locus, trials_used=trials)
+
+
+def _locus_certificate(locus, trials_used):
+    """not_cyclic on the locus's worst entry when its covector space has
+    dimension at least 2, undetermined otherwise."""
     worst = locus.worst_entry()
     if worst is not None and worst.dim_p >= 2:
         return CyclicityCertificate(
             NOT_CYCLIC,
             obstruction_locus=(worst.mu, worst.covectors),
-            trials_used=trials,
+            trials_used=trials_used,
         )
-    return CyclicityCertificate(UNDETERMINED, trials_used=trials)
+    return CyclicityCertificate(UNDETERMINED, trials_used=trials_used)
 
 
 @dataclass
@@ -399,12 +432,14 @@ class MinimalCyclicResult:
         return (self.lower_bound, self.r)
 
 
-def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0) -> MinimalCyclicResult:
+def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0, *,
+                             locus=None) -> MinimalCyclicResult:
     """Least r such that some r-dimensional subspace is cyclic.
 
-    The lower bound is the largest rank drop over the Popov-Hautus locus.
-    Subspaces are sampled from the bound up; the first cyclic one is the
-    witness (the whole space always is), certified when it attains the bound.
+    The lower bound is the largest rank drop over the Popov-Hautus locus,
+    G's rank-drop locus as passed in, or computed when it is not.  Subspaces
+    are sampled from the bound up; the first cyclic one is the witness (the
+    whole space always is), certified when it attains the bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -412,7 +447,8 @@ def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0) -> MinimalCycli
     trail = []
     from . import hautus
 
-    locus = hautus.rank_drop_locus(G)
+    if locus is None:
+        locus = hautus.rank_drop_locus(G)
     lower = max(1, locus.max_drop)
     trail.append(f"rank-drop locus: max common covector dimension {locus.max_drop}")
     solvable = hautus.is_solvable(G)

@@ -177,7 +177,7 @@ def _cmd_decompose(payload, config, tol):
 def _cmd_hautus(payload, config, tol, r):
     G = serialize.parse_generator_set(payload, config["backend"], tol)
     locus = hautus.rank_drop_locus(G)
-    verdict = hautus.hautus_verdict(G, r)
+    verdict = hautus.hautus_verdict(G, r, locus=locus)
     return {
         "r": r,
         "locus": serialize.locus_to_json(locus),

@@ -11,6 +11,12 @@ its generator, so the locus is found by a depth-first search over the
 spectra from the empty tuple, whose space is all covectors: each prefix
 takes the kernel of its own stacked block and is extended only while that
 kernel is nonzero.  Covectors are reported as row vectors throughout.
+
+hautus_verdict, algebra.find_cyclic_vector and
+algebra.minimal_cyclic_dimension take the locus as the keyword ``locus``,
+so an analysis that runs all three computes it once.  is_solvable reads the
+trace form of the closure, over GF(p) first on exact generators, where a
+nonzero trace proves non-solvability without the closure over Q(i).
 """
 
 from __future__ import annotations
@@ -22,8 +28,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import closure
-from .linalg import EXACT, FLOAT, Matrix, Subspace, cluster_values, is_negligible, kernel
+from . import algebra
+from .linalg import (
+    EXACT,
+    FLOAT,
+    MOD_P,
+    Matrix,
+    Subspace,
+    cluster_values,
+    is_negligible,
+    kernel,
+    mod_p,
+    mod_p_product,
+)
 from .linalg import char_poly as _char_poly
 from .scalars import DEFAULT_TOL, QQi
 
@@ -196,12 +213,22 @@ def is_solvable(G) -> bool:
     every [A_i, A_j] lies in the radical of the algebra they generate (McCoy
     1934), which in characteristic 0 is the kernel of the trace form
     (Dickson; Ronyai 1990): tr([A_i, A_j] a) = 0 for every basis element a
-    of the closure.  A float trace is negligible against the product of the
-    largest entries of A_i, A_j and the basis, which sets its rounding error.
+    of the closure.
+
+    Exact generators are tried over GF(p) first: the closure's words are
+    grown there, and a word w with tr([A_i, A_j] w) nonzero mod p proves
+    the same trace nonzero over Q(i), as reduction mod p is a ring
+    homomorphism, so the answer is False.  Every other answer, and every
+    True, comes from the trace form over the closure in G's own field.  A
+    float trace is negligible against the product of the largest entries
+    of A_i, A_j and the basis, which sets its rounding error.
     """
     if G.m < 2:
         return True
-    S = closure(G).span.basis_matrix()
+    if _trace_form_nonzero_mod_p(G):
+        return False
+    # not closure(G), whose GF(p) pass would repeat the one just run
+    S = algebra._field_closure(G).span.basis_matrix()
     s_scale = _largest(S)
     for A, B in itertools.combinations(G.gens, 2):
         # tr(C a) is the dot product of C^T and a, both flattened row-major
@@ -211,12 +238,27 @@ def is_solvable(G) -> bool:
     return True
 
 
+def _trace_form_nonzero_mod_p(G) -> bool:
+    """Whether some closure word w has tr([A_i, A_j] w) nonzero mod p;
+    False also when G has no image over GF(p)."""
+    words = algebra._mod_p_words(G, algebra._closure_seeds(G), G.n * G.n)
+    if words is None:
+        return False
+    gens = [mod_p(A.data) for A in G.gens]
+    comms = [((mod_p_product(a, b) - mod_p_product(b, a)) % MOD_P).T.ravel()
+             for a, b in itertools.combinations(gens, 2)]
+    # residues below p and n^2 <= MOD_P_MAX_AMBIENT terms per trace: every
+    # entry is one int64 dot product within the bound of ModPSpan.add
+    traces = np.reshape(words, (len(words), -1)) @ np.transpose(comms) % MOD_P
+    return bool(traces.any())
+
+
 def _largest(M: Matrix) -> float:
     """Largest entry magnitude of M."""
     return float(np.abs(M.to_float().data).max(initial=0.0))
 
 
-def hautus_verdict(G, r: int) -> str:
+def hautus_verdict(G, r: int, *, locus=None) -> str:
     """Combined verdict for the existence of an r-dimensional cyclic subspace.
 
     no_cyclic_subspace: the rank condition fails, nothing of dimension r works.
@@ -224,10 +266,15 @@ def hautus_verdict(G, r: int) -> str:
         algebra is solvable, so generic r-dimensional subspaces are cyclic.
     necessary_holds_only: the rank condition holds but sufficiency is not
         established by this criterion alone.
+
+    locus is G's rank-drop locus when the caller holds it; it is computed
+    when not passed.
     """
     if not 1 <= r <= G.n:
         raise ValueError("r out of range")
-    if not hautus_necessary(G, r):
+    if locus is None:
+        locus = rank_drop_locus(G)
+    if locus.max_drop > r:
         return NO_CYCLIC_SUBSPACE
     if is_solvable(G):
         return GENERIC_CYCLIC_SUBSPACE

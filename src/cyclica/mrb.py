@@ -411,7 +411,9 @@ def analyze(sys: MrbSystem, trials=64, seed=0) -> MrbReport:
         report.verdict = "trivially_reachable"
         return report
 
-    report.hautus_verdict_r1 = hautus_mod.hautus_verdict(G, 1)
+    # computed once: every phase below that needs the locus is passed it
+    locus = hautus_mod.rank_drop_locus(G)
+    report.hautus_verdict_r1 = hautus_mod.hautus_verdict(G, 1, locus=locus)
     try:
         report.decomposition = decomp_mod.classify_blocks(decomp_mod.block_triangularize(G))
     except decomp_mod.InconclusiveError as exc:
@@ -427,16 +429,13 @@ def analyze(sys: MrbSystem, trials=64, seed=0) -> MrbReport:
         report.witness = B
         return report
 
-    cert = find_cyclic_vector(G, trials=trials, seed=seed)
+    cert = find_cyclic_vector(G, trials=trials, seed=seed, locus=locus)
     if cert.is_cyclic:
         report.verdict = "reachable_with_additional_control"
         report.witness = cert.witness
         return report
-    if cert.verdict == "not_cyclic":
+    if cert.verdict == "not_cyclic":  # otherwise the verdict stays inconclusive
         report.verdict = "no_single_direction"
         report.obstruction = cert.obstruction_locus
-        report.design = minimal_cyclic_dimension(G, trials=trials, seed=seed)
-        return report
-    report.verdict = "inconclusive"
-    report.design = minimal_cyclic_dimension(G, trials=trials, seed=seed)
+    report.design = minimal_cyclic_dimension(G, trials=trials, seed=seed, locus=locus)
     return report

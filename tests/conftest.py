@@ -59,3 +59,24 @@ def random_jordan_matrix(r, n, eig_pool=(-2, -1, 0, 1, 2)):
     J = Matrix.block_diag([Matrix.exact(jordan_block(lam, s)) for lam, s in blocks])
     U = random_unimodular(r, n)
     return U @ J @ U.inverse(), nonderogatory
+
+
+def doubled_triangular_family(r, k, m):
+    """A_j = U (T_j + T_j) U^-1, j = 1..m, with U unimodular of size 2k and
+    T_j upper triangular k x k with distinct diagonal entries in [-3, 3].
+
+    Returns (generators, diagonals).  The Lie algebra is solvable, and every
+    rank drop sits on the product of the diagonals, with dimension 2 or more.
+    """
+    n = 2 * k
+    U = random_unimodular(r, n)
+    U_inv = U.inverse()
+    diagonals, gens = [], []
+    for _ in range(m):
+        diag = [int(x) for x in r.choice(np.arange(-3, 4), size=k, replace=False)]
+        upper = [[int(x) for x in row] for row in r.choice([-1, 0, 0, 1], size=(k, k))]
+        T = Matrix.exact([[diag[i] if i == j else upper[i][j] * (j > i) for j in range(k)]
+                          for i in range(k)])
+        diagonals.append(diag)
+        gens.append(U @ Matrix.block_diag([T, T]) @ U_inv)
+    return gens, diagonals

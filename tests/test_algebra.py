@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    doubled_triangular_family,
     random_exact_matrix,
     random_exact_vector,
     random_jordan_matrix,
     random_unimodular,
     rng,
 )
+from cyclica import algebra
 from cyclica.algebra import (
     CYCLIC,
     NOT_CYCLIC,
@@ -26,7 +28,9 @@ from cyclica.algebra import (
     single_generator_cyclic,
     vector_orbit,
 )
+from cyclica.hautus import rank_drop_locus
 from cyclica.linalg import Matrix, SpanBuilder, Subspace, kernel, rank
+from cyclica.mrb import InertiaSpec, axis_operator
 from cyclica.scalars import QQi
 
 J3 = Matrix.exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -372,3 +376,72 @@ def test_certificate_outside_the_space_rechecks_false():
     honest = CyclicityCertificate(NOT_CYCLIC, witness=(1, 0, 0), orbit_dim=1,
                                   obstruction_covector=(0, 0, 1))
     assert honest.recheck(G) is True
+
+
+# blockdiag(R, R), R = [[0, 2], [1, 0]]: exact, with the locus at mu = +-sqrt(2)
+F2 = Matrix.exact([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
+
+
+def _locus_keyword_families():
+    r = rng(43)
+    for k, m in itertools.product((2, 3), (1, 2)):
+        gens, _ = doubled_triangular_family(r, k, m)
+        yield GeneratorSet(2 * k, gens)
+    C = InertiaSpec(4, [1, 2, 3, 4])
+    for axes in (((1, 2), (3, 4)), ((1, 2), (2, 3))):
+        so4 = GeneratorSet(6, [axis_operator(C, ax) for ax in axes])
+        yield so4
+        yield so4.to_float()
+    yield GeneratorSet(4, [F2])
+    yield GeneratorSet(4, [F2]).to_float()
+
+
+def _same(x, y):
+    """Equal without tolerance: subspaces by their bases, vectors by entry."""
+    if isinstance(x, Subspace) or isinstance(y, Subspace):
+        return (isinstance(x, Subspace) and isinstance(y, Subspace)
+                and x.backend == y.backend and _same(x.basis, y.basis))
+    if x is None or y is None:
+        return x is y
+    return np.array_equal(np.asarray(x, dtype=object), np.asarray(y, dtype=object))
+
+
+def test_locus_keyword_changes_no_result():
+    trials = 8
+    for G in _locus_keyword_families():
+        locus = rank_drop_locus(G)
+        proven = any(e.exact and e.dim_p >= 2 for e in locus)
+        a = find_cyclic_vector(G, trials=trials, seed=0)
+        b = find_cyclic_vector(G, trials=trials, seed=0, locus=locus)
+        assert (b.verdict, b.orbit_dim) == (a.verdict, a.orbit_dim), G
+        assert _same(b.witness, a.witness) and _same(b.obstruction_covector, a.obstruction_covector)
+        if a.obstruction_locus is None:
+            assert b.obstruction_locus is None
+        else:
+            assert _same(b.obstruction_locus[0], a.obstruction_locus[0])
+            assert _same(b.obstruction_locus[1], a.obstruction_locus[1])
+        assert b.trials_used == (0 if proven else a.trials_used)
+        ma = minimal_cyclic_dimension(G, trials=trials, seed=0)
+        mb = minimal_cyclic_dimension(G, trials=trials, seed=0, locus=locus)
+        assert (mb.r, mb.lower_bound, mb.certified, mb.solvable, mb.trail) == (
+            ma.r, ma.lower_bound, ma.certified, ma.solvable, ma.trail)
+        assert _same(mb.witness, ma.witness)
+
+
+def test_exact_obstruction_in_the_locus_skips_the_trials(monkeypatch):
+    calls = []
+    original = algebra.is_cyclic_vector
+    monkeypatch.setattr(algebra, "is_cyclic_vector",
+                        lambda G, b: calls.append(b) or original(G, b))
+    G = GeneratorSet(3, [E12, E13])
+    cert = find_cyclic_vector(G, trials=8, seed=0, locus=rank_drop_locus(G))
+    assert cert.verdict == NOT_CYCLIC and cert.trials_used == 0 and cert.recheck(G)
+    assert calls == []
+    # F2's entries of dimension 2 are float (mu = +-sqrt(2)), which proves
+    # nothing before the trials
+    G = GeneratorSet(4, [F2])
+    locus = rank_drop_locus(G)
+    assert locus.max_drop == 2 and not any(e.exact for e in locus if e.dim_p >= 2)
+    cert = find_cyclic_vector(G, trials=8, seed=0, locus=locus)
+    assert cert.verdict == NOT_CYCLIC and cert.trials_used == 8
+    assert len(calls) == 8

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclica import hautus
 from cyclica.algebra import GeneratorSet, orbit
 from cyclica.cli import build_report, main, rerun_report, run_corpus
 from cyclica.linalg import EXACT, Matrix, Subspace
@@ -119,6 +120,19 @@ def test_hautus_without_generators(capsys):
     assert entry["mu"] == [] and entry["covectors"]["basis"] == [[1, 0], [0, 1]]
     assert result["locus"]["max_drop"] == 2
     assert result["verdict"] == "no_cyclic_subspace"
+
+
+def test_hautus_computes_the_locus_once(capsys, monkeypatch):
+    calls = []
+    original = hautus.rank_drop_locus
+    monkeypatch.setattr(hautus, "rank_drop_locus", lambda G: calls.append(G) or original(G))
+    for gens, verdict in ((GENS_SL2, "necessary_holds_only"),
+                          (GENS_THREE_COPIES, "necessary_holds_only"),
+                          ({"n": 2, "generators": []}, "no_cyclic_subspace")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, ["hautus", "--r", "1", "--input", json.dumps(gens)])
+        assert code == 0 and json.loads(out)["result"]["verdict"] == verdict
+        assert len(calls) == 1
 
 
 def test_reports_are_deterministic(capsys):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_exact_matrix, random_unimodular, rng
+from conftest import doubled_triangular_family, random_exact_matrix, random_unimodular, rng
+from cyclica import algebra
 from cyclica.algebra import GeneratorSet
 from cyclica.hautus import (
     GENERIC_CYCLIC_SUBSPACE,
@@ -14,7 +15,8 @@ from cyclica.hautus import (
     is_solvable,
     rank_drop_locus,
 )
-from cyclica.linalg import EXACT, Matrix, SpanBuilder, Subspace, rank
+from cyclica.linalg import EXACT, MOD_P, Matrix, SpanBuilder, Subspace, mod_p, rank
+from cyclica.mrb import InertiaSpec, axis_operator, so_pairs
 from cyclica.scalars import DEFAULT_TOL, QQi, ToleranceContext
 
 
@@ -206,6 +208,72 @@ def test_is_solvable_matches_reference():
     assert ("block", False) in outcomes and ("random", False) in outcomes
 
 
+def _trace_form_solvable(G):
+    """The criterion of is_solvable read directly over Q(i): every
+    commutator has trace 0 against every word spanning the closure."""
+    words = algebra._field_closure(G).matrices
+    return all(((A @ B - B @ A) @ w).trace().is_zero()
+               for A, B in itertools.combinations(G.gens, 2) for w in words)
+
+
+def _block_triangular_pair(r, d1, d2):
+    """U [[X, Y], [0, Z]] U^-1 for random integer X, Y, Z, twice."""
+    n = d1 + d2
+    U = random_unimodular(r, n)
+    U_inv = U.inverse()
+    gens = []
+    for _ in range(2):
+        A = r.integers(-3, 4, size=(n, n))
+        A[d1:, :d1] = 0
+        gens.append(U @ Matrix.exact(A.tolist()) @ U_inv)
+    return GeneratorSet(n, gens)
+
+
+def _gf_p_certificate_families():
+    C = InertiaSpec(4, [1, 2, 3, 4])
+    for axes in itertools.combinations(so_pairs(4), 2):
+        yield "so4", GeneratorSet(6, [axis_operator(C, ax) for ax in axes])
+    r = rng(47)
+    for k, m in itertools.product((2, 3), (2, 3)):
+        yield "doubled", GeneratorSet(2 * k, doubled_triangular_family(r, k, m)[0])
+    for n in (3, 4, 5):
+        for _ in range(3):
+            yield "random", GeneratorSet(n, [random_exact_matrix(r, n, n) for _ in range(2)])
+    for d1, d2 in ((1, 2), (2, 2), (2, 3), (1, 1)):
+        yield "block", _block_triangular_pair(r, d1, d2)
+
+
+def test_gf_p_certificate_matches_the_trace_form(monkeypatch):
+    field_closures = []
+    original = algebra._field_closure
+    monkeypatch.setattr(algebra, "_field_closure",
+                        lambda G: field_closures.append(G) or original(G))
+    outcomes = set()
+    for kind, G in _gf_p_certificate_families():
+        want = _trace_form_solvable(G)
+        field_closures.clear()
+        assert is_solvable(G) == want, (kind, G.gens)
+        # True only from the closure over Q(i); every False here has a word
+        # with a nonzero trace residue, so it never needs that closure
+        assert len(field_closures) == (1 if want else 0), kind
+        outcomes.add((kind, want))
+    assert {("so4", False), ("doubled", True), ("random", False), ("block", False),
+            ("block", True)} <= outcomes
+
+
+def test_generators_without_an_image_mod_p_take_the_trace_form():
+    tiny = QQi(1) / QQi(MOD_P)
+    e12 = Matrix.exact([[0, 1], [0, 0]])
+    pairs = {
+        False: [e12, Matrix.exact([[0, 0], [tiny, 0]])],  # sl2, scaled
+        True: [e12, Matrix.exact([[tiny, 0], [0, 1]])],  # upper triangular
+    }
+    for want, gens in pairs.items():
+        G = GeneratorSet(2, gens)
+        assert mod_p(gens[1].data) is None
+        assert is_solvable(G) == want == _trace_form_solvable(G)
+
+
 def test_verdicts():
     d1 = Matrix.exact([[1, 0], [0, 2]])
     d2 = Matrix.exact([[3, 0], [0, 4]])
@@ -294,16 +362,7 @@ def test_locus_complete_on_doubled_triangular_families():
     r = rng(41)
     for k, m, _ in itertools.product((2, 3), (1, 2, 3), range(3)):
         n = 2 * k
-        U = random_unimodular(r, n)
-        U_inv = U.inverse()
-        diagonals, gens = [], []
-        for _ in range(m):
-            diag = [int(x) for x in r.choice(np.arange(-3, 4), size=k, replace=False)]
-            upper = [[int(x) for x in row] for row in r.choice([-1, 0, 0, 1], size=(k, k))]
-            T = Matrix.exact([[diag[i] if i == j else upper[i][j] * (j > i) for j in range(k)]
-                              for i in range(k)])
-            diagonals.append(diag)
-            gens.append(U @ Matrix.block_diag([T, T]) @ U_inv)
+        gens, diagonals = doubled_triangular_family(r, k, m)
         G = GeneratorSet(n, gens)
         reference = {}
         for mu in itertools.product(*diagonals):

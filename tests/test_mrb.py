@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rng
+from cyclica import algebra, hautus
 from cyclica.algebra import GeneratorSet, find_cyclic_vector, single_generator_cyclic
 from cyclica.decomp import multiplicity_condition
 from cyclica.linalg import Matrix, Subspace, annihilator, eigenvalues, min_poly
@@ -264,6 +265,43 @@ def test_analyze_disjoint_axes():
     assert rep.design.r == 2 and rep.design.certified
     assert rep.hautus_verdict_r1 == "no_cyclic_subspace"
     assert not multiplicity_condition(rep.decomposition)
+
+
+def _count_analysis_calls(monkeypatch, d):
+    """Record rank_drop_locus and is_cyclic_vector calls, and closures in
+    G's own field of a generator set acting on all of so(n) (dimension d)."""
+    calls = {"locus": 0, "trials": 0, "full_field_closure": 0}
+
+    def counted(module, name, key, applies=lambda G: True):
+        original = getattr(module, name)
+
+        def wrapper(G, *args, **kwargs):
+            calls[key] += applies(G)
+            return original(G, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hautus, "rank_drop_locus", "locus")
+    counted(algebra, "is_cyclic_vector", "trials")
+    counted(algebra, "_field_closure", "full_field_closure", lambda G: G.n == d)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_analyze_disjoint_axes_reuses_the_locus_and_runs_no_trials(monkeypatch, n):
+    C = InertiaSpec(n, list(range(1, n + 1)))
+    calls = _count_analysis_calls(monkeypatch, C.so_dim)
+    rep = analyze(MrbSystem(C, axes=[(1, 2), (3, 4)]), trials=64, seed=0)
+    assert rep.verdict == "no_single_direction" and not rep.design.solvable
+    # one locus for every phase; its exact obstruction replaces the trials,
+    # and non-solvability is certified without the closure over Q(i)
+    assert calls == {"locus": 1, "trials": 0, "full_field_closure": 0}
+
+
+def test_analyze_adjacent_axes_finds_its_witness_by_trials(monkeypatch):
+    calls = _count_analysis_calls(monkeypatch, C4.so_dim)
+    rep = analyze(MrbSystem(C4, axes=[(1, 2), (2, 3)]), trials=64, seed=0)
+    assert rep.verdict == "reachable_with_additional_control"
+    assert calls["locus"] == 1 and calls["trials"] >= 1
 
 
 def test_analyze_full_control_trivial():

@@ -17,13 +17,19 @@ closure is computed only once the coordinate orbits find no split; a failed
 random search never certifies anything.  When the budget runs out on a
 reducible input the splitter raises :class:`InconclusiveError` instead of
 guessing.
+
+On exact inputs the eigen-probes need the irreducible factors over Q(i) of
+minimal polynomials.  They come from Trager's norm method on
+:class:`~cyclica.linalg.Polynomial` arithmetic, which leaves to sympy only
+the factoring of one integer polynomial; sympy is imported on the first
+such call, not with the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -65,32 +71,38 @@ RETRIES = 20  # random algebra elements, and random vectors, per search
 
 
 def _factor_exact(p: Polynomial):
-    """Irreducible factors of an exact polynomial over the Gaussian rationals."""
-    import sympy
+    """Irreducible factors over the Gaussian rationals of an exact
+    polynomial: monic, each once, by degree and then by coefficient text.
 
-    x = sympy.Symbol("x")
-    expr = sympy.Integer(0)
-    for k, c in enumerate(p.coeffs):
-        term = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-            c.im.numerator, c.im.denominator
-        )
-        expr += term * x**k
-    _, factors = sympy.factor_list(expr, x, gaussian=True)
-    out = []
-    for f, _mult in factors:
-        coeffs = sympy.Poly(f, x).all_coeffs()[::-1]  # ascending
-        qq = []
-        for c in coeffs:
-            re, im = sympy.re(c), sympy.im(c)
-            qq.append(
-                QQi(
-                    Fraction(int(sympy.numer(re)), int(sympy.denom(re))),
-                    Fraction(int(sympy.numer(im)), int(sympy.denom(im))),
-                )
-            )
-        out.append(Polynomial(qq, EXACT))
+    Trager's norm method (1976).  With g the square-free part of p, take
+    the first s >= 0 for which the norm N = h * conj(h) of h(x) = g(x + si)
+    is square-free, which for a square-free h is when h and conj(h) are
+    coprime.  N has rational coefficients, and for each irreducible factor
+    N_j of N over Z, gcd(h, N_j) is an irreducible factor of h over Q(i);
+    shifted back by -si it is one of g."""
+    if p.degree < 1:
+        return []
+    g = p.divmod(p.gcd(p.derivative()))[0].monic()
+    for s in count():
+        h = g.shift(QQi(0, s))
+        h_bar = h.conjugate()
+        if h.gcd(h_bar).degree == 0:
+            break
+    out = [h.gcd(N_j).shift(QQi(0, -s)) for N_j in _integer_factors(h * h_bar)]
     out.sort(key=lambda q: (q.degree, str([str(c) for c in q.coeffs])))
     return out
+
+
+def _integer_factors(N: Polynomial):
+    """The irreducible factors over Z of a polynomial with rational
+    coefficients, each once; the one use of sympy."""
+    import sympy
+
+    den = math.lcm(*(c.re.denominator for c in N.coeffs))
+    ints = [int(c.re * den) for c in reversed(N.coeffs)]
+    _, factors = sympy.Poly(ints, sympy.Symbol("x"), domain=sympy.ZZ).factor_list()
+    return [Polynomial([int(c) for c in reversed(f.all_coeffs())], EXACT)
+            for f, _mult in factors]
 
 
 def _split(G, G_t, vectors, covectors):
@@ -116,12 +128,18 @@ def _kernel_basis(M):
 def _eigen_matrices(G, R):
     """Matrices M whose kernels hold the eigenvectors of R, one at a time:
     f(R) for every irreducible factor f over Q(i) of R's minimal polynomial
-    on exact inputs, R - lambda I for every eigenvalue on float ones.  The
-    kernel of M^T holds the matching left eigenvectors, as f(R)^T = f(R^T)."""
+    m on exact inputs, R - lambda I for every eigenvalue on float ones.  The
+    kernel of M^T holds the matching left eigenvectors, as f(R)^T = f(R^T).
+    An exact f(R) is zero exactly when f = m, and the kernels of a zero
+    matrix and of its transpose are spanned by the coordinate frame, which
+    the search spins first; so f = m is skipped, and a minimal polynomial of
+    degree 1 is not factored at all."""
     if G.backend == EXACT:
-        for f in _factor_exact(min_poly(R)):
-            if f.degree > 0:
-                yield f(R)
+        m = min_poly(R)
+        if m.degree > 1:
+            for f in _factor_exact(m):
+                if f != m:
+                    yield f(R)
     else:
         for lam, _mult in eigenvalues(R, G.tol):
             yield Matrix(R.to_float().data - lam * np.eye(G.n), FLOAT, tol=G.tol)

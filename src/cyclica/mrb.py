@@ -305,8 +305,10 @@ def perturbed_operator(C: InertiaSpec, eps, axes=((1, 2), (2, 3)),
     if not (C.exact and isinstance(eps, (int, Fraction))):
         L1, L2 = L1.to_float(tol), L2.to_float(tol)
 
+    L_sum, L_prod = L1 + L2, L1 @ L2
+
     def build(e):
-        return L1 + L2 + (L1 @ L2).scale(e)
+        return L_sum + L_prod.scale(e)
 
     op = build(eps)
     char = char_poly(op)

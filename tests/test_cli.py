@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cyclica import hautus
 from cyclica.algebra import GeneratorSet, orbit
-from cyclica.cli import build_report, main, rerun_report, run_corpus
+from cyclica.cli import build_report, corpus_cases, main, rerun_report, run_corpus
 from cyclica.linalg import EXACT, Matrix, Subspace
 from cyclica.serialize import parse_matrix
 
@@ -249,3 +253,30 @@ def test_design_f1_is_not_certified_without_a_witness():
     cols = W.T.row_vectors()
     G = GeneratorSet(6, [Matrix.exact(A) for A in F1_GENERATORS])
     assert orbit(G, Subspace.from_vectors(6, cols)).is_full()
+
+
+def test_so5_disjoint_analysis_never_calls_symbolic_factoring(monkeypatch):
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.factor_list called")
+
+    monkeypatch.setattr(sympy, "factor_list", refuse)
+    case = next(c for c in corpus_cases() if c["name"] == "mrb_so5_disjoint_analyze")
+    config = {"seed": case["seed"], "trials": case["trials"], "tol_rank": 1e-9,
+              "tol_gap": 1e-7, "backend": None}
+    report = build_report(case["command"], case["input"], config)
+    assert report["result"] == case["expected"]
+    assert any(note.startswith("decomposition inconclusive")
+               for note in report["result"]["analysis"]["notes"])
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is imported on the first exact factorization, not with cyclica
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclica; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

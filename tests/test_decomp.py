@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cyclica.algebra import (
 )
 from cyclica.decomp import (
     InconclusiveError,
+    _factor_exact,
     block_diagonal_orbit_bound,
     block_triangularize,
     classify_blocks,
@@ -19,7 +22,7 @@ from cyclica.decomp import (
     is_block_diagonal,
     multiplicity_condition,
 )
-from cyclica.linalg import EXACT, FLOAT, Matrix, Subspace, rank
+from cyclica.linalg import EXACT, FLOAT, Matrix, Polynomial, Subspace, rank
 from cyclica.scalars import QQi
 
 J3 = Matrix.exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -280,3 +283,85 @@ def test_block_diagonal_orbit_bound():
     for _ in range(10):
         v = tuple(QQi(int(x)) for x in r.integers(-5, 6, size=6))
         assert vector_orbit(G, v).dim <= bound
+
+
+def _sorted_factors(factors):
+    return sorted(factors, key=lambda q: (q.degree, str([str(c) for c in q.coeffs])))
+
+
+def _sympy_factors(p):
+    """The factors of p from sympy.factor_list(..., gaussian=True)."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * x**k
+               for k, c in enumerate(p.coeffs))
+    _, factors = sympy.factor_list(expr, x, gaussian=True)
+    out = []
+    for f, _mult in factors:
+        coeffs = []
+        for c in reversed(sympy.Poly(f, x).all_coeffs()):
+            re, im = sympy.re(c), sympy.im(c)
+            coeffs.append(QQi(Fraction(int(sympy.numer(re)), int(sympy.denom(re))),
+                              Fraction(int(sympy.numer(im)), int(sympy.denom(im)))))
+        out.append(Polynomial(coeffs))
+    return _sorted_factors(out)
+
+
+def _sympy_field_factors(p):
+    """The factors of p from sympy's factoring over QQ<I>, the call that
+    factor_list(..., gaussian=True) ends in, with the coefficients carried
+    into the field directly: sympy's own conversion of each coefficient
+    takes about 7/8 of its time."""
+    import sympy
+    from sympy.polys.factortools import dup_factor_list
+
+    K = sympy.QQ.algebraic_field(sympy.I)  # elements b*I + a as [b, a]
+    f = [K.new([K.dom(c.im.numerator, c.im.denominator),
+                K.dom(c.re.numerator, c.re.denominator)]) for c in reversed(p.coeffs)]
+    _, factors = dup_factor_list(f, K)
+    out = []
+    for g, _mult in factors:
+        coeffs = []
+        for c in reversed(g):
+            im, re = ([K.dom.zero, K.dom.zero] + c.to_list())[-2:]
+            coeffs.append(QQi(Fraction(int(re.numerator), int(re.denominator)),
+                              Fraction(int(im.numerator), int(im.denominator))))
+        out.append(Polynomial(coeffs))
+    return _sorted_factors(out)
+
+
+def _random_product(r, gaussian, max_degree=12):
+    """A rational constant times one to three random factors, some
+    repeated, of degree at most max_degree in all.  The coefficients are
+    rationals with small denominators; with gaussian set, each factor has
+    non-real coefficients with probability 1/2 (and then degree 1 or 2)."""
+
+    def q(lo, hi, dens):
+        return Fraction(int(r.integers(lo, hi + 1)), int(r.choice(dens)))
+
+    p = Polynomial([q(1, 3, [1, 2, 3])])
+    for _ in range(int(r.integers(1, 4))):
+        real = not gaussian or r.integers(0, 2) == 0
+        d = int(r.choice([1, 1, 2, 2, 3] if real else [1, 1, 2]))
+        f = Polynomial([QQi(q(-4, 4, [1, 1, 2, 3, 7]), 0 if real else q(-2, 2, [1, 1, 2]))
+                        for _ in range(d)] + [int(r.choice([1, 2, -3]))])
+        for _ in range(int(r.choice([1, 1, 2, 3]))):
+            if p.degree + f.degree <= max_degree:
+                p = p * f
+    return p
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_factor_exact_matches_sympy_gaussian_factoring(gaussian):
+    r = rng(8 if gaussian else 7)
+    polys = [_random_product(r, gaussian) for _ in range(100)]
+    assert max(p.degree for p in polys) == 12
+    assert any(p.gcd(p.derivative()).degree > 0 for p in polys)  # repeated factors
+    assert gaussian == any(not c.is_real() for p in polys for c in p.coeffs)
+    for k, p in enumerate(polys):
+        expected = _sympy_field_factors(p)
+        if k % 10 == 0:
+            assert _sympy_factors(p) == expected, p
+        assert _factor_exact(p) == expected, p

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -133,6 +134,18 @@ def test_polynomial_arithmetic():
     assert p(QQi(2)) == QQi(3)
 
 
+def test_polynomial_helpers():
+    i = QQi(0, 1)
+    p = Polynomial([1, 0, 1])  # x^2 + 1 = (x - i)(x + i)
+    assert p + Polynomial([-1, 2]) == Polynomial([0, 2, 1])
+    assert p.derivative() == Polynomial([0, 2])
+    assert p.shift(i) == Polynomial([0, 2 * i, 1])  # (x + i)^2 + 1
+    assert Polynomial([i, 1]).conjugate() == Polynomial([-i, 1])
+    assert p.gcd(Polynomial([-2 * i, 2])) == Polynomial([-i, 1])
+    assert p.gcd(Polynomial([1, 1])) == Polynomial([1])
+    assert Polynomial([]).gcd(Polynomial([])).is_zero()
+
+
 def test_matrix_inverse_roundtrip():
     r = rng(9)
     count = 0
@@ -258,3 +271,60 @@ def test_min_poly_annihilates_with_no_lower_dependence(seed, n, family):
     assert rank(Matrix.from_rows([P.flatten() for P in powers], EXACT)) == mp.degree
     if nonderogatory is not None:
         assert (mp == char_poly(A)) == nonderogatory
+
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_det(rows):
+    """Determinant of a matrix of (re, im) Fraction pairs, by elimination."""
+    rows = [list(r) for r in rows]
+    det = (Fraction(1), Fraction(0))
+    for j in range(len(rows)):
+        p = next((i for i in range(j, len(rows)) if rows[i][j] != (0, 0)), None)
+        if p is None:
+            return (Fraction(0), Fraction(0))
+        if p != j:
+            rows[j], rows[p] = rows[p], rows[j]
+            det = (-det[0], -det[1])
+        a, b = rows[j][j]
+        det = _gauss_mul(det, (a, b))
+        inv = (a / (a * a + b * b), -b / (a * a + b * b))
+        for i in range(j + 1, len(rows)):
+            f = _gauss_mul(rows[i][j], inv)
+            rows[i] = [(x[0] - y[0], x[1] - y[1])
+                       for x, y in zip(rows[i], [_gauss_mul(f, v) for v in rows[j]])]
+    return det
+
+
+def _char_poly_reference(entries):
+    """Ascending (re, im) coefficients of det(xI - A): the coefficient of
+    x^(n-k) is (-1)^k times the sum of the k x k principal minors."""
+    n = len(entries)
+    coeffs = []
+    for k in range(n + 1):
+        re = im = Fraction(0)
+        for S in itertools.combinations(range(n), k):
+            d = _gauss_det([[entries[i][j] for j in S] for i in S])
+            re, im = re + d[0], im + d[1]
+        coeffs.append(((-1) ** k * re, (-1) ** k * im))
+    return coeffs[::-1]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_char_poly_matches_a_fraction_reference(n):
+    r = rng(100 + n)
+
+    def entry(gaussian):
+        re = Fraction(int(r.integers(-4, 5)), int(r.choice([1, 1, 2, 3, 5])))
+        im = Fraction(int(r.integers(-3, 4)), int(r.choice([1, 2, 7]))) if gaussian else 0
+        return (Fraction(re), Fraction(im))
+
+    for gaussian in (False, True):
+        entries = [[entry(gaussian) for _ in range(n)] for _ in range(n)]
+        A = Matrix.exact([[QQi(a, b) for a, b in row] for row in entries])
+        ref = Polynomial([QQi(a, b) for a, b in _char_poly_reference(entries)])
+        assert char_poly(A) == ref
+        assert char_poly(A).degree == n

@@ -5,8 +5,10 @@ built on top.
 Layers, bottom up:
 
 - scalars / linalg: exact Gaussian-rational and tolerance-aware float
-  arithmetic, canonical subspaces, polynomial invariants; linalg is the
-  only layer that chooses between the two backends;
+  arithmetic, canonical subspaces, polynomial invariants; linalg makes most
+  of the choices between the two backends, and the layers above branch on
+  the backend only where the two need different methods (random samples,
+  eigen-probes, verified spectra, the perturbation analysis);
 - algebra: algebra closure, orbits, cyclicity certificates, randomized
   search with sound negative verdicts;
 - hautus: rank-drop locus, solvability, combined verdicts;

@@ -103,9 +103,11 @@ class AlgebraBasis:
         return self.span.contains(M.flatten())
 
 
-def _stabilize(sb, seeds, gens, step, coords):
+def _stabilize(sb, seeds, gens, step, coords, size=lambda x: 1.0):
     """Grow the span sb until it is closed under x -> step(A, x) for every
-    generator A; coords(x) is the vector that enters the span for x.
+    generator A; coords(x) is the vector that enters the span for x, and an
+    image enters with the scale of its round-off, size(A) * size(x) (see
+    SpanBuilder.add).
 
     Returns the elements that enlarged the span, in insertion order: the
     seeds first, then each round's images generator-major (for A in gens:
@@ -117,18 +119,21 @@ def _stabilize(sb, seeds, gens, step, coords):
 
     def grow(candidates):
         new = []
-        for x in candidates:
-            if sb.add(coords(x)):
+        for x, scale in candidates:
+            if sb.add(coords(x), scale):
                 new.append(x)
                 if sb.dim == sb.ambient:
                     break
         members.extend(new)
         return new
 
-    frontier = grow(seeds)
+    gen_sizes = [size(A) for A in gens]
+    frontier = grow((x, None) for x in seeds)
     while frontier and sb.dim < sb.ambient:
+        sizes = [size(x) for x in frontier]
         # lazy, so that no image is computed once the span is full
-        frontier = grow(step(A, x) for A in gens for x in frontier)
+        frontier = grow((step(A, x), a * s) for A, a in zip(gens, gen_sizes)
+                        for x, s in zip(frontier, sizes))
     return members
 
 
@@ -141,11 +146,10 @@ def _mod_p_words(G, seeds, ambient):
     or an ambient space too large for int64."""
     if ambient > MOD_P_MAX_AMBIENT:
         return None
-    gens = [mod_p(A.data) for A in G.gens]
-    seeds = [mod_p(x) for x in seeds]
-    if any(x is None for x in gens + seeds):
+    gens, seeds = mod_p([A.data for A in G.gens]), mod_p(seeds)
+    if gens is None or seeds is None:
         return None
-    return _stabilize(ModPSpan(ambient), seeds, gens, mod_p_product, np.ravel)
+    return _stabilize(ModPSpan(ambient), list(seeds), list(gens), mod_p_product, np.ravel)
 
 
 def _full_mod_p(G, seeds, ambient):
@@ -182,7 +186,7 @@ def _field_closure(G: GeneratorSet) -> AlgebraBasis:
     span as its matrices."""
     sb = SpanBuilder(G.n * G.n, G.backend, G.tol)
     seeds = [Matrix.identity(G.n, G.backend, G.tol), *G.gens]
-    members = _stabilize(sb, seeds, G.gens, lambda A, M: A @ M, Matrix.flatten)
+    members = _stabilize(sb, seeds, G.gens, lambda A, M: A @ M, Matrix.flatten, sb.magnitude)
     return AlgebraBasis(G, tuple(members), sb.subspace())
 
 
@@ -202,7 +206,7 @@ def orbit(G: GeneratorSet, B: Subspace) -> Subspace:
 def _field_orbit(G: GeneratorSet, B: Subspace) -> Subspace:
     """orbit computed in G's own field."""
     sb = SpanBuilder(G.n, G.backend, G.tol)
-    _stabilize(sb, B.basis, G.gens, Matrix.apply, lambda v: v)
+    _stabilize(sb, B.basis, G.gens, Matrix.apply, lambda v: v, sb.magnitude)
     return sb.subspace()
 
 
@@ -272,8 +276,8 @@ class CyclicityCertificate:
                         if not _vec_is_zero(img, G):
                             return False
                 return True
-            # zero-vector style verdicts carry the orbit itself
-            return self.orbit_dim is not None and self.orbit_dim < G.n
+            # an orbit dimension alone proves nothing
+            return False
         return True
 
 
@@ -298,25 +302,23 @@ def _pairing_is_zero(p, v, G):
     return is_negligible([np.dot(np.asarray(p), np.asarray(v))], G.backend, G.tol, 100)
 
 
+def _orbit_certificate(witness, orb) -> CyclicityCertificate:
+    """cyclic when the witness's orbit orb is the whole space, otherwise
+    not_cyclic with a covector that annihilates orb."""
+    if orb.is_full():
+        return CyclicityCertificate(CYCLIC, witness=witness, orbit_dim=orb.dim)
+    return CyclicityCertificate(NOT_CYCLIC, witness=witness, orbit_dim=orb.dim,
+                                obstruction_covector=annihilator(orb).basis[0])
+
+
 def is_cyclic_vector(G: GeneratorSet, b) -> CyclicityCertificate:
     """Does the orbit of b under the algebra fill the whole space?"""
-    orb = vector_orbit(G, b)
-    if orb.is_full():
-        return CyclicityCertificate(CYCLIC, witness=b, orbit_dim=orb.dim)
-    p = annihilator(orb).basis[0]
-    return CyclicityCertificate(
-        NOT_CYCLIC, witness=b, orbit_dim=orb.dim, obstruction_covector=p
-    )
+    return _orbit_certificate(b, vector_orbit(G, b))
 
 
 def is_cyclic_subspace(G: GeneratorSet, B: Subspace) -> CyclicityCertificate:
-    orb = orbit(G, B)
-    if orb.is_full():
-        return CyclicityCertificate(CYCLIC, witness=B, orbit_dim=orb.dim)
-    p = annihilator(orb).basis[0]
-    return CyclicityCertificate(
-        NOT_CYCLIC, witness=B, orbit_dim=orb.dim, obstruction_covector=p
-    )
+    """Does the orbit of B under the algebra fill the whole space?"""
+    return _orbit_certificate(B, orbit(G, B))
 
 
 def is_transitive(G: GeneratorSet) -> bool:

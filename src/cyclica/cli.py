@@ -20,8 +20,8 @@ import sys
 from importlib import resources
 
 from . import algebra, decomp, hautus, mrb, serialize, switched
-from .linalg import EXACT, Matrix, Subspace, rank
-from .scalars import ToleranceContext
+from .linalg import Subspace
+from .scalars import DEFAULT_TOL, ToleranceContext
 from .serialize import SCHEMA, SchemaError
 
 DEFAULT_TRIALS = 64
@@ -43,8 +43,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: CYCLICA_SEED env var, else 0)")
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-gap", type=float, default=None)
+        p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.tau_rank)
+        p.add_argument("--tol-gap", type=float, default=DEFAULT_TOL.tau_gap)
         p.add_argument("--backend", choices=["exact", "float"], default=None,
                        help="override the input's scalar backend")
         p.add_argument("--format", choices=["json", "text"], default="json")
@@ -76,33 +76,32 @@ def _make_config(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CYCLICA_SEED", "0"))
-    tol = ToleranceContext(
-        tau_rank=args.tol_rank if args.tol_rank is not None else 1e-9,
-        tau_gap=args.tol_gap if args.tol_gap is not None else 1e-7,
-    )
+    tol = ToleranceContext(args.tol_rank, args.tol_gap)  # rejects nonpositive values
     return {
         "seed": seed,
         "trials": args.trials,
         "tol_rank": tol.tau_rank,
         "tol_gap": tol.tau_gap,
         "backend": args.backend,
-    }, tol
+    }
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (result dict, status)
+# command implementations: each takes (payload, config, tol, r), where r is
+# the subspace dimension of hautus and None for the others, and returns
+# (result dict, status)
 # ---------------------------------------------------------------------------
 
 
-def _genset_payload(payload):
-    """Accept either a bare generator-set object or one nested under
-    a 'generators' key (used by commands that take extra fields)."""
+def _nested_generator_set(payload, config, tol):
+    """The generator set of a payload: a bare generator-set object, or one
+    nested under 'generators' for commands that take extra fields."""
     if isinstance(payload, dict) and isinstance(payload.get("generators"), dict):
-        return payload["generators"]
-    return payload
+        payload = payload["generators"]
+    return serialize.parse_generator_set(payload, config["backend"], tol)
 
 
-def _cmd_closure(payload, config, tol):
+def _cmd_closure(payload, config, tol, r):
     G = serialize.parse_generator_set(payload, config["backend"], tol)
     cl = algebra.closure(G)
     return {
@@ -113,19 +112,18 @@ def _cmd_closure(payload, config, tol):
 
 
 def _parse_seed_subspace(payload, G, tol):
-    if "B" in payload and payload["B"] is not None:
+    if payload.get("B") is not None:
         vecs = [serialize.parse_vector(v, G.backend, path=f"input.B[{k}]")
                 for k, v in enumerate(payload["B"])]
-        return Subspace.from_vectors(G.n, vecs, G.backend, tol)
-    if "b" in payload and payload["b"] is not None:
-        v = serialize.parse_vector(payload["b"], G.backend, path="input.b")
-        return Subspace.from_vectors(G.n, [v], G.backend, tol)
-    raise SchemaError("input", "need a seed vector 'b' or spanning set 'B'")
+    elif payload.get("b") is not None:
+        vecs = [serialize.parse_vector(payload["b"], G.backend, path="input.b")]
+    else:
+        raise SchemaError("input", "need a seed vector 'b' or spanning set 'B'")
+    return Subspace.from_vectors(G.n, vecs, G.backend, tol)
 
 
-def _cmd_orbit(payload, config, tol):
-    G = serialize.parse_generator_set(_genset_payload(payload),
-                                      config["backend"], tol)
+def _cmd_orbit(payload, config, tol, r):
+    G = _nested_generator_set(payload, config, tol)
     B = _parse_seed_subspace(payload, G, tol)
     O = algebra.orbit(G, B)
     return {
@@ -135,9 +133,8 @@ def _cmd_orbit(payload, config, tol):
     }, "ok"
 
 
-def _cmd_cyclic_vector(payload, config, tol):
-    G = serialize.parse_generator_set(_genset_payload(payload),
-                                      config["backend"], tol)
+def _cmd_cyclic_vector(payload, config, tol, r):
+    G = _nested_generator_set(payload, config, tol)
     if payload.get("b") is not None:
         b = serialize.parse_vector(payload["b"], G.backend, path="input.b")
         cert = algebra.is_cyclic_vector(G, b)
@@ -148,15 +145,14 @@ def _cmd_cyclic_vector(payload, config, tol):
     return {"certificate": serialize.certificate_to_json(cert)}, status
 
 
-def _cmd_cyclic_subspace(payload, config, tol):
-    G = serialize.parse_generator_set(_genset_payload(payload),
-                                      config["backend"], tol)
+def _cmd_cyclic_subspace(payload, config, tol, r):
+    G = _nested_generator_set(payload, config, tol)
     B = _parse_seed_subspace(payload, G, tol)
     cert = algebra.is_cyclic_subspace(G, B)
     return {"certificate": serialize.certificate_to_json(cert)}, "ok"
 
 
-def _cmd_decompose(payload, config, tol):
+def _cmd_decompose(payload, config, tol, r):
     G = serialize.parse_generator_set(payload, config["backend"], tol)
     try:
         btf = decomp.block_triangularize(G, seed=config["seed"])
@@ -186,7 +182,7 @@ def _cmd_hautus(payload, config, tol, r):
     }, "ok"
 
 
-def _cmd_reach(payload, config, tol):
+def _cmd_reach(payload, config, tol, r):
     sysm = serialize.parse_switched_system(payload, config["backend"], tol)
     R = switched.reachable_subspace(sysm)
     return {
@@ -195,55 +191,57 @@ def _cmd_reach(payload, config, tol):
     }, "ok"
 
 
-def _cmd_design(payload, config, tol):
-    G = serialize.parse_generator_set(_genset_payload(payload),
-                                      config["backend"], tol)
+def _cmd_design(payload, config, tol, r):
+    G = _nested_generator_set(payload, config, tol)
     rep = switched.design_inputs(list(G.gens), trials=config["trials"],
                                  seed=config["seed"], tol=tol)
     status = "ok" if rep.certified else "inconclusive"
     return {"design": serialize.design_to_json(rep)}, status
 
 
-def _cmd_mrb_analyze(payload, config, tol):
+def _cmd_mrb_analyze(payload, config, tol, r):
     sysm = serialize.parse_mrb_system(payload)
     rep = mrb.analyze(sysm, trials=config["trials"], seed=config["seed"])
     status = "inconclusive" if rep.verdict == "inconclusive" else "ok"
     return {"analysis": serialize.mrb_report_to_json(rep)}, status
 
 
+_COMMANDS = {
+    "closure": _cmd_closure,
+    "orbit": _cmd_orbit,
+    "cyclic-vector": _cmd_cyclic_vector,
+    "cyclic-subspace": _cmd_cyclic_subspace,
+    "decompose": _cmd_decompose,
+    "hautus": _cmd_hautus,
+    "reach": _cmd_reach,
+    "design": _cmd_design,
+    "mrb analyze": _cmd_mrb_analyze,
+}
+
+
 def run_command(command, payload, config, r=None):
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
     tol = ToleranceContext(config["tol_rank"], config["tol_gap"])
-    if command == "closure":
-        return _cmd_closure(payload, config, tol)
-    if command == "orbit":
-        return _cmd_orbit(payload, config, tol)
-    if command == "cyclic-vector":
-        return _cmd_cyclic_vector(payload, config, tol)
-    if command == "cyclic-subspace":
-        return _cmd_cyclic_subspace(payload, config, tol)
-    if command == "decompose":
-        return _cmd_decompose(payload, config, tol)
-    if command == "hautus":
-        return _cmd_hautus(payload, config, tol, r)
-    if command == "reach":
-        return _cmd_reach(payload, config, tol)
-    if command == "design":
-        return _cmd_design(payload, config, tol)
-    if command == "mrb analyze":
-        return _cmd_mrb_analyze(payload, config, tol)
-    raise ValueError(f"unknown command {command!r}")
+    return _COMMANDS[command](payload, config, tol, r)
+
+
+def _envelope(command, config, result, status):
+    """The report around a command's result: everything needed to run it
+    again, and its status."""
+    return {
+        "schema": SCHEMA,
+        "command": command,
+        "config": config,
+        "result": result,
+        "status": status,
+    }
 
 
 def build_report(command, payload, config, r=None):
     result, status = run_command(command, payload, config, r=r)
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "config": dict(config, input=payload, **({"r": r} if r is not None else {})),
-        "result": result,
-        "status": status,
-    }
-    return report
+    config = dict(config, input=payload, **({"r": r} if r is not None else {}))
+    return _envelope(command, config, result, status)
 
 
 def rerun_report(report):
@@ -298,21 +296,17 @@ def render_text(report):
 
     def walk(obj, indent):
         pad = "  " * indent
+        # "key:" labels an object's fields, in key order, and "-" a list's items
         if isinstance(obj, dict):
-            for k in sorted(obj):
-                v = obj[k]
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}-")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}- {v}")
+            items = [(f"{k}:", obj[k]) for k in sorted(obj)]
+        else:
+            items = [("-", v) for v in obj]
+        for label, v in items:
+            if isinstance(v, (dict, list)):
+                lines.append(pad + label)
+                walk(v, indent + 1)
+            else:
+                lines.append(f"{pad}{label} {v}")
 
     walk(report["result"], 1)
     return "\n".join(lines) + "\n"
@@ -321,21 +315,14 @@ def render_text(report):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config, _tol = _make_config(args)
+    config = _make_config(args)
     command = args.command
     if command == "mrb":
         command = f"mrb {args.mrb_command}"
     try:
         if command == "corpus":
-            result, status = run_corpus(config)
-            report = {
-                "schema": SCHEMA,
-                "command": "corpus",
-                "config": config,
-                "result": result,
-                "status": status,
-            }
-            for case in result["cases"]:
+            report = _envelope(command, config, *run_corpus(config))
+            for case in report["result"]["cases"]:
                 print(("PASS " if case["pass"] else "FAIL ") + case["name"],
                       file=sys.stderr)
         else:

@@ -234,17 +234,15 @@ class BlockTriangularForm:
         return [T.block(a, b, a, b) for T in self.transformed]
 
     def lower_blocks_vanish(self):
-        offs = self.offsets()
-        for T in self.transformed:
-            for i in range(1, self.k):
-                if not _block_vanishes(T.block(offs[i], offs[-1], 0, offs[i]), self.generators):
-                    return False
-        return True
+        return _upper_blocks_vanish(self, [T.T for T in self.transformed])
 
 
-def _block_vanishes(blk: Matrix, G: GeneratorSet) -> bool:
-    """Zero exactly, or within 100 tau_rank of the generators' tolerance."""
-    return is_negligible(blk.flatten(), G.backend, G.tol, 100)
+def _upper_blocks_vanish(btf: BlockTriangularForm, matrices) -> bool:
+    """Whether every matrix vanishes to the right of each of btf's diagonal
+    blocks: exactly, or within 100 tau_rank of the generators' tolerance."""
+    G, offs = btf.generators, btf.offsets()
+    return all(is_negligible(M.block(a, b, b, offs[-1]).flatten(), G.backend, G.tol, 100)
+               for M in matrices for a, b in zip(offs, offs[1:]))
 
 
 def _completion_basis(W: Subspace):
@@ -369,13 +367,9 @@ def multiplicity_condition(summary: IsotypicSummary) -> bool:
 
 
 def is_block_diagonal(btf: BlockTriangularForm) -> bool:
-    offs = btf.offsets()
-    for T in btf.transformed:
-        for i in range(btf.k):
-            blk = T.block(offs[i], offs[i + 1], offs[i + 1], offs[-1])
-            if not _block_vanishes(blk, btf.generators):
-                return False
-    return True
+    """Whether the transformed generators vanish above their diagonal
+    blocks too, as they do below them."""
+    return _upper_blocks_vanish(btf, btf.transformed)
 
 
 # ---------------------------------------------------------------------------

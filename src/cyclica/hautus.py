@@ -35,12 +35,13 @@ from .linalg import (
     MOD_P,
     Matrix,
     Subspace,
-    cluster_values,
+    eigenvalues,
     is_negligible,
     kernel,
     mod_p,
     mod_p_product,
 )
+from .linalg import _magnitude
 from .linalg import char_poly as _char_poly
 from .scalars import DEFAULT_TOL, QQi
 
@@ -76,17 +77,11 @@ class RankDropLocus:
         return max((e.dim_p for e in self.entries), default=0)
 
     def worst_entry(self):
-        best = None
-        for e in self.entries:
-            if best is None or e.dim_p > best.dim_p:
-                best = e
-        return best
+        """The first entry of largest dim P_mu; None when there is none."""
+        return max(self.entries, key=lambda e: e.dim_p, default=None)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +113,7 @@ def generator_spectrum(A: Matrix, tol=None):
     kept exact only when the exact characteristic polynomial vanishes on it.
     """
     tol = tol or A.tol or DEFAULT_TOL
-    vals = np.linalg.eigvals(A.to_float().data)
-    clusters = cluster_values(vals.tolist(), tol.tau_gap)
+    clusters = eigenvalues(A, tol)
     if A.backend != EXACT:
         return [(v, mult, False) for v, mult in clusters], any(m > 1 for _, m in clusters)
     cp = _char_poly(A)
@@ -229,11 +223,11 @@ def is_solvable(G) -> bool:
         return False
     # not closure(G), whose GF(p) pass would repeat the one just run
     S = algebra._field_closure(G).span.basis_matrix()
-    s_scale = _largest(S)
+    s_scale = _magnitude(S)
     for A, B in itertools.combinations(G.gens, 2):
         # tr(C a) is the dot product of C^T and a, both flattened row-major
         traces = S.apply((A @ B - B @ A).T.flatten())
-        if not is_negligible(traces, G.backend, G.tol, _largest(A) * _largest(B) * s_scale):
+        if not is_negligible(traces, G.backend, G.tol, _magnitude(A) * _magnitude(B) * s_scale):
             return False
     return True
 
@@ -244,18 +238,13 @@ def _trace_form_nonzero_mod_p(G) -> bool:
     words = algebra._mod_p_words(G, algebra._closure_seeds(G), G.n * G.n)
     if words is None:
         return False
-    gens = [mod_p(A.data) for A in G.gens]
+    gens = mod_p([A.data for A in G.gens])
     comms = [((mod_p_product(a, b) - mod_p_product(b, a)) % MOD_P).T.ravel()
              for a, b in itertools.combinations(gens, 2)]
     # residues below p and n^2 <= MOD_P_MAX_AMBIENT terms per trace: every
     # entry is one int64 dot product within the bound of ModPSpan.add
     traces = np.reshape(words, (len(words), -1)) @ np.transpose(comms) % MOD_P
     return bool(traces.any())
-
-
-def _largest(M: Matrix) -> float:
-    """Largest entry magnitude of M."""
-    return float(np.abs(M.to_float().data).max(initial=0.0))
 
 
 def hautus_verdict(G, r: int, *, locus=None) -> str:

@@ -1,16 +1,19 @@
-"""Dense linear algebra over two scalar fields, and the one place that
-decides between them.
+"""Dense linear algebra over two scalar fields.
 
 The exact backend works over the Gaussian rationals and decides rank, span
 and divisibility questions with no tolerance at all.  The float backend
 works over complex128 and pushes every such decision through an explicit
-:class:`~cyclica.scalars.ToleranceContext`.
+:class:`~cyclica.scalars.ToleranceContext`; the residual of a computed
+product is measured relative to its factors (:meth:`SpanBuilder.add`).
 
 Everything above this module builds matrices, vectors and scalars through
 the constructors here (:class:`Matrix`, :func:`vector`, :func:`scalar`) and
-tests for zero with :func:`is_negligible`, so the choice of field is made
-in this module: coercion, zero and pivot tests, elimination versus SVD in
+tests for zero with :func:`is_negligible`, so most choices of field are
+made here: coercion, zero and pivot tests, elimination versus SVD in
 ``rank``/``kernel``, ``inverse``, ``char_poly``, ``min_poly`` and hashing.
+The layers above branch on the backend only where the methods differ:
+random samples, eigen-probes, verified spectra and the perturbation
+analysis.
 
 Exact matrix products (``@``, ``apply`` and everything built on them:
 brackets, polynomial evaluation, conjugation) are fraction-free: each
@@ -93,8 +96,13 @@ def is_negligible(values, backend, tol, scale=1.0):
     tol.tau_rank * scale in absolute value on the float backend."""
     if backend == EXACT:
         return all(x.is_zero() for x in values)
-    mags = np.abs(np.asarray(values, dtype=np.complex128))
-    return mags.size == 0 or bool(mags.max() <= tol.tau_rank * scale)
+    return _magnitude(values) <= tol.tau_rank * scale
+
+
+def _magnitude(x) -> float:
+    """Largest entry magnitude of a Matrix, array or vector."""
+    values = np.asarray(x.data if isinstance(x, Matrix) else x, dtype=np.complex128)
+    return float(np.abs(values).max(initial=0.0))
 
 
 def _full(shape, x, backend):
@@ -363,10 +371,6 @@ class Matrix:
         # the sign of zero, as array_equal does)
         return hash((self.data.shape, tuple(self.data.ravel().tolist())))
 
-    def allclose(self, other, atol=1e-9):
-        a, b = self.to_float(), other.to_float()
-        return bool(np.allclose(a.data, b.data, atol=atol))
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}: {body}]"
@@ -413,24 +417,29 @@ class SpanBuilder:
             v = v - v[p] * row
         return v
 
-    def _pivot_of(self, v, vec):
+    def _pivot_of(self, v, vec, scale=None):
         """Pivot column of the residual v of vec, or None when v is zero:
-        exactly, or within tau_rank relative to vec's largest entry."""
+        exactly, or within tau_rank relative to scale (see add)."""
         if self.backend == EXACT:
             return next((j for j, x in enumerate(v) if not x.is_zero()), None)
         mags = np.abs(v)
         if not mags.size:
             return None
         j = int(np.argmax(mags))
-        scale = float(np.max(np.abs(np.asarray(vec))))
-        if mags[j] <= self.tol.tau_rank * max(scale, 1.0):
+        if scale is None:
+            scale = max(_magnitude(vec), 1.0)
+        if mags[j] <= self.tol.tau_rank * scale:
             return None
         return j
 
-    def add(self, vec):
-        """Insert vec's direction into the span; returns True if dim grew."""
+    def add(self, vec, scale=None):
+        """Insert vec's direction into the span; returns True if dim grew.
+        A float residual is negligible within tau_rank relative to scale, by
+        default max(1, vec's largest entry).  A product passes the product
+        of its factors' magnitudes, so that at any scale of the factors its
+        round-off is never taken for a new direction."""
         v = self._reduce(vec)
-        p = self._pivot_of(v, vec)
+        p = self._pivot_of(v, vec, scale)
         if p is None:
             return False
         if self.backend == EXACT:
@@ -455,11 +464,14 @@ class SpanBuilder:
         self.pivots.insert(at, p)
         return True
 
+    def magnitude(self, x):
+        """The largest entry magnitude of a float Matrix or vector x; 1 on
+        the exact backend, which has no round-off."""
+        return 1.0 if self.backend == EXACT else _magnitude(x)
+
     def add_all(self, vectors):
-        grew = False
         for v in vectors:
-            grew |= self.add(v)
-        return grew
+            self.add(v)
 
     def contains(self, vec):
         return self._pivot_of(self._reduce(vec), vec) is None
@@ -483,21 +495,10 @@ MOD_P_MAX_AMBIENT = 2**11
 _MOD_P_I = pow(2, (MOD_P - 1) // 4, MOD_P)
 
 
-def _residue(q, inverses):
-    """The Fraction q = a/b as a * b^-1 mod MOD_P; None when MOD_P divides b."""
-    b = q.denominator
-    if b == 1:
-        return q.numerator % MOD_P
-    if b not in inverses:
-        inverses[b] = pow(b, -1, MOD_P) if b % MOD_P else None
-    inv = inverses[b]
-    return None if inv is None else q.numerator * inv % MOD_P
-
-
 def mod_p(values):
     """Image of exact entries over GF(MOD_P), as an int64 array of values'
-    shape; None when the entries are not exact or a denominator is
-    divisible by MOD_P.
+    shape (a list of equal-shape arrays or vectors is imaged stacked); None
+    when the entries are not exact or a denominator is divisible by MOD_P.
 
     The map is the ring homomorphism Z[i]_(pi) -> GF(MOD_P) sending i to a
     square root of -1, where pi is the Gaussian prime above MOD_P that it
@@ -508,19 +509,16 @@ def mod_p(values):
     over GF(MOD_P) is full over Q(i), and one that is not says nothing.
     """
     arr = np.asarray(values)
-    if arr.dtype != object:
+    if arr.size and (arr.dtype != object or not all(isinstance(x, QQi) for x in arr.flat)):
         return None
-    out = np.empty(arr.shape, dtype=np.int64)
-    flat = out.reshape(-1)
-    inverses = {}
-    for k, x in enumerate(arr.flat):
-        if not isinstance(x, QQi):
-            return None
-        re, im = _residue(x.re, inverses), _residue(x.im, inverses)
-        if re is None or im is None:
-            return None
-        flat[k] = (re + _MOD_P_I * im) % MOD_P
-    return out
+    # MOD_P is prime, so it divides the common denominator exactly when it
+    # divides one of the entries' denominators
+    re, im, den = _split(arr)
+    if den % MOD_P == 0:
+        return None
+    num = (re if im is None else re + _MOD_P_I * im) % MOD_P
+    # residues and the inverse are below 2**26, so their product fits int64
+    return num.astype(np.int64) * pow(den, -1, MOD_P) % MOD_P
 
 
 def mod_p_product(a, b):
@@ -549,8 +547,9 @@ class ModPSpan:
     def dim(self):
         return len(self.pivots)
 
-    def add(self, vec):
-        """Insert vec's direction into the span; returns True if dim grew."""
+    def add(self, vec, scale=None):
+        """Insert vec's direction into the span; returns True if dim grew.
+        Residues are exact, so scale (see SpanBuilder.add) is unused."""
         # rows are fully reduced, so vec's coordinates at the pivots are the
         # coefficients that clear them
         v = (vec - vec[self.pivots] @ self.rows) % MOD_P
@@ -597,8 +596,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient, vectors, backend=EXACT, tol=None):
         sb = SpanBuilder(ambient, backend, tol)
-        for v in vectors:
-            sb.add(vector(v, backend))
+        sb.add_all(vector(v, backend) for v in vectors)
         return sb.subspace()
 
     @classmethod
@@ -828,9 +826,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def to_float(self):
-        return Polynomial(self.coeffs, FLOAT)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

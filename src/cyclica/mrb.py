@@ -209,7 +209,9 @@ def axis_operator(C: InertiaSpec, axis) -> Matrix:
     Column at the canonical basis element S^{cd}: sign-normalize only the
     axis so its shared index comes first, take the probe's non-shared index
     as labeled, and read the coupling from the table; the output basis
-    element is reduced to canonical orientation.
+    element is reduced to canonical orientation.  That is the table entry
+    E(S^{ab}, S^{cd}), negated when the shared index is d, which undoes
+    the probe's normalization.
     """
     a, b = axis
     n = C.n
@@ -220,16 +222,12 @@ def axis_operator(C: InertiaSpec, axis) -> Matrix:
     basis = SoBasis(n)
     d = basis.dim
     cols = []
-    for (c, dd) in basis.pairs:
+    for q in basis.pairs:
         col = [0] * d
-        common = {a, b} & {c, dd}
-        if len(common) == 1:
-            t = common.pop()
-            s1 = 1 if t == a else -1
-            u = b if t == a else a
-            k = dd if t == c else c
-            idx, orient = basis.coord_index(u, k)
-            col[idx] = s1 * orient * coupling(C, u, k)
+        hit = _basis_pair_product(C, basis, (a, b), q)
+        if hit is not None:
+            idx, value = hit
+            col[idx] = value if q[0] in (a, b) else -value
         cols.append(col)
     return Matrix.from_cols(cols, C.backend, tol=C.tol)
 

@@ -79,8 +79,7 @@ def matrix_to_json(M: Matrix):
     return {
         "rows": M.rows,
         "cols": M.cols,
-        "data": [[scalar_to_json(M.entry(i, j)) for j in range(M.cols)]
-                 for i in range(M.rows)],
+        "data": [vector_to_json(row) for row in M.data],
     }
 
 
@@ -192,23 +191,29 @@ def parse_mrb_system(obj, path="input"):
 # ---------------------------------------------------------------------------
 
 
+def _witness_to_json(witness):
+    """A witness vector, or a witness subspace, under its kind."""
+    if isinstance(witness, Subspace):
+        return {"subspace": subspace_to_json(witness)}
+    return {"vector": vector_to_json(witness)}
+
+
+def _locus_point_to_json(mu, P):
+    """A rank-drop point: the tuple mu and its covector space P_mu, as
+    carried by the locus and by an obstruction drawn from it."""
+    return {"mu": vector_to_json(mu), "covectors": subspace_to_json(P)}
+
+
 def certificate_to_json(cert: algebra.CyclicityCertificate):
     out = {"verdict": cert.verdict}
     if cert.witness is not None:
-        if isinstance(cert.witness, Subspace):
-            out["witness"] = {"subspace": subspace_to_json(cert.witness)}
-        else:
-            out["witness"] = {"vector": vector_to_json(cert.witness)}
+        out["witness"] = _witness_to_json(cert.witness)
     if cert.orbit_dim is not None:
         out["orbit_dim"] = cert.orbit_dim
     if cert.obstruction_covector is not None:
         out["obstruction"] = {"covector": vector_to_json(cert.obstruction_covector)}
     if cert.obstruction_locus is not None:
-        mu, P = cert.obstruction_locus
-        out["obstruction"] = {
-            "mu": [scalar_to_json(v) for v in mu],
-            "covectors": subspace_to_json(P),
-        }
+        out["obstruction"] = _locus_point_to_json(*cert.obstruction_locus)
     if cert.trials_used is not None:
         out["trials_used"] = cert.trials_used
     return out
@@ -217,13 +222,8 @@ def certificate_to_json(cert: algebra.CyclicityCertificate):
 def locus_to_json(locus: hautus.RankDropLocus):
     return {
         "entries": [
-            {
-                "mu": [scalar_to_json(v) for v in e.mu],
-                "dimP": e.dim_p,
-                "rank": e.rank_value,
-                "exact": e.exact,
-                "covectors": subspace_to_json(e.covectors),
-            }
+            dict(_locus_point_to_json(e.mu, e.covectors),
+                 dimP=e.dim_p, rank=e.rank_value, exact=e.exact)
             for e in locus.entries
         ],
         "max_drop": locus.max_drop,
@@ -257,26 +257,33 @@ def decomposition_to_json(summary: decomp.IsotypicSummary, witness=None):
     return out
 
 
-def design_to_json(rep: switched.DesignReport):
+def _bracket_to_json(res: algebra.MinimalCyclicResult):
+    """A design's dimension and bounds, as the design and mrb reports carry them."""
     return {
-        "r": rep.r,
-        "lower_bound": rep.lower_bound,
-        "certified": rep.certified,
-        "solvable": rep.solvable,
-        "bracket": list(rep.bracket),
-        "witness_B": matrix_to_json(rep.witness_B),
-        "trail": list(rep.trail),
+        "r": res.r,
+        "lower_bound": res.lower_bound,
+        "certified": res.certified,
+        "bracket": list(res.bracket),
     }
+
+
+def design_to_json(rep: switched.DesignReport):
+    return dict(
+        _bracket_to_json(rep),
+        solvable=rep.solvable,
+        witness_B=matrix_to_json(rep.witness_B),
+        trail=list(rep.trail),
+    )
 
 
 def perturbation_to_json(res: mrb.PerturbationResult):
     out = {
         "eps": scalar_to_json(res.eps),
-        "char_coeffs": [scalar_to_json(c) for c in res.char.coeffs],
+        "char_coeffs": vector_to_json(res.char.coeffs),
         "flags": dict(res.flags),
     }
     if res.p is not None:
-        out["p"] = [scalar_to_json(v) for v in res.p]
+        out["p"] = vector_to_json(res.p)
         out["discriminant"] = scalar_to_json(res.discriminant)
     return out
 
@@ -289,25 +296,13 @@ def mrb_report_to_json(rep: mrb.MrbReport):
         "notes": list(rep.notes),
     }
     if rep.witness is not None:
-        if isinstance(rep.witness, Subspace):
-            out["witness"] = {"subspace": subspace_to_json(rep.witness)}
-        else:
-            out["witness"] = {"vector": vector_to_json(rep.witness)}
+        out["witness"] = _witness_to_json(rep.witness)
     if rep.obstruction is not None:
-        mu, P = rep.obstruction
-        out["obstruction"] = {
-            "mu": [scalar_to_json(v) for v in mu],
-            "covectors": subspace_to_json(P),
-        }
+        out["obstruction"] = _locus_point_to_json(*rep.obstruction)
     if rep.decomposition is not None:
         out["decomposition"] = _blocks_to_json(rep.decomposition)
     if rep.perturbation is not None:
         out["perturbation"] = perturbation_to_json(rep.perturbation)
     if rep.design is not None:
-        out["design"] = {
-            "r": rep.design.r,
-            "lower_bound": rep.design.lower_bound,
-            "certified": rep.design.certified,
-            "bracket": list(rep.design.bracket),
-        }
+        out["design"] = _bracket_to_json(rep.design)
     return out

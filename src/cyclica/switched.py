@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .algebra import (
     GeneratorSet,
     MinimalCyclicResult,
-    is_cyclic_subspace,
     minimal_cyclic_dimension,
     orbit,
 )
@@ -48,12 +47,7 @@ class SwitchedSystem:
         if shared_B is not None and shared_B.rows != n:
             raise ValueError("shared input matrix must have n rows")
         self.shared_B = shared_B
-        backends = {m.A.backend for m in self.modes}
-        for m in self.modes:
-            if m.B is not None:
-                backends.add(m.B.backend)
-        if shared_B is not None:
-            backends.add(shared_B.backend)
+        backends = {M.backend for M in [*(m.A for m in self.modes), *self._input_matrices()]}
         if len(backends) != 1:
             raise TypeError("system mixes scalar backends")
         self.backend = backends.pop()
@@ -66,13 +60,12 @@ class SwitchedSystem:
     def generator_set(self):
         return GeneratorSet(self.n, [m.A for m in self.modes], tol=self.tol)
 
+    def _input_matrices(self):
+        """The shared input matrix, then each mode's, where given."""
+        return [B for B in (self.shared_B, *(m.B for m in self.modes)) if B is not None]
+
     def input_span(self) -> Subspace:
-        cols = []
-        if self.shared_B is not None:
-            cols.extend(self.shared_B.col(j) for j in range(self.shared_B.cols))
-        for m in self.modes:
-            if m.B is not None:
-                cols.extend(m.B.col(j) for j in range(m.B.cols))
+        cols = [B.col(j) for B in self._input_matrices() for j in range(B.cols)]
         return Subspace.from_vectors(self.n, cols, self.backend, self.tol)
 
 
@@ -86,19 +79,11 @@ def is_globally_reachable(sys: SwitchedSystem) -> bool:
 
 
 @dataclass
-class DesignReport:
-    """Outcome of the input-design search for uncontrolled mode dynamics."""
+class DesignReport(MinimalCyclicResult):
+    """Outcome of the input-design search for uncontrolled mode dynamics:
+    the minimal cyclic-dimension result, its witness as an input matrix."""
 
-    r: int
-    witness_B: Matrix  # columns span a cyclic subspace of dimension r
-    lower_bound: int
-    certified: bool
-    solvable: bool
-    trail: list = field(default_factory=list)
-
-    @property
-    def bracket(self):
-        return (self.lower_bound, self.r)
+    witness_B: Matrix = field(kw_only=True)  # columns: a basis of the witness
 
 
 def design_inputs(A_list, trials=64, seed=0, tol=None) -> DesignReport:
@@ -113,17 +98,10 @@ def design_inputs(A_list, trials=64, seed=0, tol=None) -> DesignReport:
         raise ValueError("at least one mode matrix required")
     n = A_list[0].rows
     G = GeneratorSet(n, A_list, tol=tol)
-    res: MinimalCyclicResult = minimal_cyclic_dimension(G, trials=trials, seed=seed)
+    res = minimal_cyclic_dimension(G, trials=trials, seed=seed)
     witness_B = Matrix.from_cols(list(res.witness.basis), G.backend, tol=G.tol)
     # the witness must re-certify as a reachable-system input
     sys = SwitchedSystem(n, [Mode(A) for A in A_list], shared_B=witness_B, tol=G.tol)
     if not is_globally_reachable(sys):
         raise AssertionError("design witness failed re-certification")
-    return DesignReport(
-        r=res.r,
-        witness_B=witness_B,
-        lower_bound=res.lower_bound,
-        certified=res.certified,
-        solvable=res.solvable,
-        trail=list(res.trail),
-    )
+    return DesignReport(**vars(res), witness_B=witness_B)

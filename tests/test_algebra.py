@@ -28,7 +28,7 @@ from cyclica.algebra import (
     single_generator_cyclic,
     vector_orbit,
 )
-from cyclica.hautus import rank_drop_locus
+from cyclica.hautus import is_solvable, rank_drop_locus
 from cyclica.linalg import Matrix, SpanBuilder, Subspace, kernel, rank
 from cyclica.mrb import InertiaSpec, axis_operator
 from cyclica.scalars import QQi
@@ -111,6 +111,34 @@ def test_closure_invariance_similarity_and_scaling():
         assert closure(G_sim).dim == d
         G_scaled = GeneratorSet(3, [gens[0].scale(QQi(7)), gens[1]])
         assert closure(G_scaled).dim == d
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-4, 1e-5])
+def test_float_sl2_pair_is_scale_invariant(c):
+    # E12 E21 = c^2 E11 lies below tau_rank in absolute terms at c = 1e-5,
+    # yet it is as large as the product of its factors
+    E12_c = Matrix.from_float([[0, c], [0, 0]])
+    E21_c = Matrix.from_float([[0, 0], [c, 0]])
+    G = GeneratorSet(2, [E12_c, E21_c])
+    assert closure(G).dim == 4
+    assert is_transitive(G)
+    assert not is_solvable(G)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_float_closure_drops_products_that_vanish_up_to_round_off(n):
+    # N^n = 0 and N U e1 = 0 for N = U J U^-1, but their computed values
+    # are round-off, nonzero and tiny; taken for new directions, they would
+    # grow the closure of N past the n powers of N, and the orbit of the
+    # eigenvector U e1 past its line
+    r = rng(50 + n)
+    U = r.standard_normal((n, n))
+    N = U @ np.diag(np.ones(n - 1), 1) @ np.linalg.inv(U)
+    for s in (1.0, 1e-6):
+        G = GeneratorSet(n, [Matrix.from_float(s * N)])
+        assert closure(G).dim == n
+        assert vector_orbit(G, U[:, 0]).dim == 1
+        assert vector_orbit(G, U[:, -1]).dim == n
 
 
 def test_orbit_jordan_chain():
@@ -369,6 +397,10 @@ def test_certificate_outside_the_space_rechecks_false():
         CyclicityCertificate(NOT_CYCLIC, obstruction_locus=((QQi(2),), Subspace.full(4))),
         CyclicityCertificate(CYCLIC, witness=short, orbit_dim=3),
         CyclicityCertificate(CYCLIC, witness=Subspace.full(4), orbit_dim=3),
+        # an orbit dimension with no covector proves nothing: (0, 0, 1) is
+        # cyclic for the Jordan block
+        CyclicityCertificate(NOT_CYCLIC, witness=(QQi(0), QQi(0), QQi(1)), orbit_dim=1),
+        CyclicityCertificate(NOT_CYCLIC, orbit_dim=1),
     ]
     for cert in forged:
         assert cert.recheck(G) is False

@@ -174,6 +174,85 @@ def test_text_format(capsys):
     assert "status: ok" in out and "dim: 4" in out
 
 
+def test_text_format_on_a_nested_result(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["decompose", "--input", json.dumps(GENS_JORDAN), "--format", "text"],
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["command: decompose", "status: ok"]
+    # a list of scalars, and a list of objects whose keys are indented below
+    at = lines.index("  block_dims:")
+    assert lines[at + 1 : at + 4] == ["    - 1"] * 3
+    at = lines.index("  classes:")
+    assert lines[at + 1 : at + 3] == ["    -", "      d: 1"]
+    assert "      multiplicity: 3" in lines
+    assert "  theorem_condition: False" in lines
+
+
+def test_input_from_a_file_path(tmp_path, capsys):
+    source = tmp_path / "generators.json"
+    source.write_text(json.dumps(GENS_SL2))
+    code, out, _ = run_cli(capsys, ["closure", "--input", str(source)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"] == {"n": 2, "dim": 4, "transitive": True}
+    assert report["config"]["input"] == GENS_SL2
+
+
+# J e3 = e2, J e2 = e1 for the Jordan shift: e3 is cyclic, span(e1, e2) is
+# invariant
+E3 = [0, 0, 1]
+E1_E2 = [[1, 0, 0], [0, 1, 0]]
+
+
+def test_orbit_command_with_either_seed(capsys):
+    code, out, _ = run_cli(
+        capsys, ["orbit", "--input", json.dumps({"generators": GENS_JORDAN, "b": E3})])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["seed_dim"] == 1 and result["full"] is True
+    assert result["orbit"]["dim"] == 3
+
+    code, out, _ = run_cli(
+        capsys, ["orbit", "--input", json.dumps({"generators": GENS_JORDAN, "B": E1_E2})])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["seed_dim"] == 2 and result["full"] is False
+    assert result["orbit"]["basis"] == E1_E2
+
+
+def test_cyclic_subspace_command_with_either_seed(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["cyclic-subspace", "--input", json.dumps({"generators": GENS_JORDAN, "b": E3})])
+    assert code == 0
+    cert = json.loads(out)["result"]["certificate"]
+    assert cert["verdict"] == "cyclic" and cert["orbit_dim"] == 3
+    assert cert["witness"]["subspace"]["basis"] == [E3]
+
+    code, out, _ = run_cli(
+        capsys,
+        ["cyclic-subspace", "--input", json.dumps({"generators": GENS_JORDAN, "B": E1_E2})])
+    assert code == 0
+    cert = json.loads(out)["result"]["certificate"]
+    assert cert["verdict"] == "not_cyclic" and cert["orbit_dim"] == 2
+    assert cert["witness"]["subspace"]["basis"] == E1_E2
+    assert cert["obstruction"] == {"covector": E3}
+
+
+def test_orbit_command_needs_a_seed(capsys):
+    code, _, err = run_cli(capsys, ["orbit", "--input", json.dumps({"generators": GENS_JORDAN})])
+    assert code == 1 and "input error" in err
+
+
+def test_unknown_command_is_a_value_error():
+    config = {"seed": 0, "trials": 4, "tol_rank": 1e-9, "tol_gap": 1e-7, "backend": None}
+    with pytest.raises(ValueError, match="unknown command"):
+        build_report("no-such-command", GENS_SL2, config)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -223,6 +302,44 @@ def test_mrb_analyze_without_axes(capsys):
     assert analysis["obstruction"]["mu"] == []
     assert analysis["obstruction"]["covectors"]["dim"] == 3
     assert analysis["design"]["r"] == 3 and analysis["design"]["certified"] is True
+
+
+MRB_CONFIG = {"seed": 0, "trials": 64, "tol_rank": 1e-9, "tol_gap": 1e-7, "backend": None}
+
+
+@pytest.mark.parametrize("include", [True, False])
+def test_mrb_analyze_with_damping(include):
+    # so(3) with the axis (1, 2): its operator alone generates an algebra
+    # whose two-dimensional block is simple over Q(i) but not over C, which
+    # the decomposition cannot split; the damping diag(1, 2, 3), once it
+    # joins the generators, separates the coordinates
+    payload = {"n": 3, "C": [1, 2, 3], "axes": [[1, 2]],
+               "D": {"rows": 3, "cols": 3, "data": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]},
+               "include_damping": include}
+    report = build_report("mrb analyze", payload, MRB_CONFIG)
+    analysis = report["result"]["analysis"]
+    assert report["status"] == "ok"
+    assert analysis["verdict"] == "reachable_with_additional_control"
+    included = "damping included as an algebra generator" in analysis["notes"]
+    assert included is include
+    if include:
+        assert analysis["notes"] == ["damping included as an algebra generator"]
+        assert analysis["decomposition"]["block_dims"] == [1, 2]
+    else:
+        assert "decomposition" not in analysis
+        assert analysis["notes"][0].startswith("decomposition inconclusive")
+
+
+def test_mrb_analyze_three_adjacent_axes_reach_so4():
+    payload = {"n": 4, "C": [1, 2, 3, 4], "axes": [[1, 2], [2, 3], [3, 4]]}
+    report = build_report("mrb analyze", payload, MRB_CONFIG)
+    analysis = report["result"]["analysis"]
+    assert analysis["verdict"] == "reachable_with_given_controls"
+    assert analysis["control_span_dim"] == 3
+    # the witness is the control span S12, S23, S34 itself
+    assert analysis["witness"]["subspace"]["basis"] == [
+        [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
+    assert "perturbation" not in analysis and "design" not in analysis
 
 
 def test_corpus_all_pass(capsys):

@@ -19,10 +19,17 @@ GF(p) are images of words over Q(i), so they can also carry a proof:
 hautus.is_solvable finds there a word whose trace against a commutator is
 nonzero mod p, which proves the Lie algebra not solvable.  No other
 obstruction is read over GF(p).
+
+The trials of find_cyclic_vector and minimal_cyclic_dimension image the
+generators once and grow each trial's orbit over GF(p) only: a full one is
+the witness.  A batch with no full trial is run again in G's own field
+before anything is concluded from it, so only a returned result rests on
+elimination over Q(i).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,33 +144,39 @@ def _stabilize(sb, seeds, gens, step, coords, size=lambda x: 1.0):
     return members
 
 
-def _mod_p_words(G, seeds, ambient):
+def _gens_mod_p(G):
+    """The images of G's generators over GF(p), as a list of residue
+    arrays; None when they have none (see linalg.mod_p)."""
+    gens = mod_p([A.data for A in G.gens])
+    return None if gens is None else list(gens)
+
+
+def _mod_p_words(gens_p, seeds_p, ambient):
     """The images over GF(p) of the words in the generators applied to the
     seeds that enlarged their span, in the order of _stabilize, so as many
-    as the span's dimension.  Each is the image of an element of the same
-    span over Q(i) (see linalg.mod_p).  None when the generators or seeds
-    have no image over GF(p): float entries, a denominator divisible by p,
-    or an ambient space too large for int64."""
-    if ambient > MOD_P_MAX_AMBIENT:
+    as the span's dimension; gens_p and seeds_p are the images of the
+    generators and seeds.  Each word is the image of an element of the same
+    span over Q(i) (see linalg.mod_p).  None when either has no image, or
+    the ambient space is too large for int64."""
+    if gens_p is None or seeds_p is None or ambient > MOD_P_MAX_AMBIENT:
         return None
-    gens, seeds = mod_p([A.data for A in G.gens]), mod_p(seeds)
-    if gens is None or seeds is None:
-        return None
-    return _stabilize(ModPSpan(ambient), list(seeds), list(gens), mod_p_product, np.ravel)
+    return _stabilize(ModPSpan(ambient), list(seeds_p), gens_p, mod_p_product, np.ravel)
 
 
-def _full_mod_p(G, seeds, ambient):
-    """Whether the images of the seeds under all words in the generators
-    span the whole ambient space over GF(p), which proves the same over
-    Q(i).  False when the span falls short or has no image over GF(p)."""
-    words = _mod_p_words(G, seeds, ambient)
+def _full_mod_p(gens_p, seeds_p, ambient):
+    """Whether the words in the generators applied to the seeds span the
+    whole ambient space over GF(p), given their images gens_p and seeds_p;
+    that proves the same over Q(i).  False when the span falls short or
+    there are no images."""
+    words = _mod_p_words(gens_p, seeds_p, ambient)
     return words is not None and len(words) == ambient
 
 
-def _closure_seeds(G: GeneratorSet):
-    """The entries of the identity and the generators, whose span grown
-    under the generators is the closure."""
-    return [Matrix.identity(G.n, G.backend).data] + [A.data for A in G.gens]
+def _closure_seeds_mod_p(G, gens_p):
+    """The images of the identity and of G's generators, whose images are
+    gens_p: the seeds whose span grown under the generators is the
+    closure.  None when the generators have no image."""
+    return None if gens_p is None else [np.eye(G.n, dtype=np.int64), *gens_p]
 
 
 def closure(G: GeneratorSet) -> AlgebraBasis:
@@ -174,7 +187,8 @@ def closure(G: GeneratorSet) -> AlgebraBasis:
     matrices.  Anything short of full is decided in G's own field.
     """
     n2 = G.n * G.n
-    if _full_mod_p(G, _closure_seeds(G), n2):
+    gens_p = _gens_mod_p(G)
+    if _full_mod_p(gens_p, _closure_seeds_mod_p(G, gens_p), n2):
         span = Subspace.full(n2, G.backend, G.tol)
         units = tuple(Matrix.unflatten(e, G.n, G.n, G.backend, G.tol) for e in span.basis)
         return AlgebraBasis(G, units, span)
@@ -198,7 +212,7 @@ def orbit(G: GeneratorSet, B: Subspace) -> Subspace:
     """
     if B.ambient_dim != G.n:
         raise ValueError("subspace ambient dimension does not match generators")
-    if _full_mod_p(G, B.basis, G.n):
+    if _full_mod_p(_gens_mod_p(G), mod_p(B.basis), G.n):
         return Subspace.full(G.n, G.backend, G.tol)
     return _field_orbit(G, B)
 
@@ -370,34 +384,89 @@ def find_cyclic_vector(G: GeneratorSet, trials=64, seed=0, *, locus=None) -> Cyc
     order.
 
     locus is G's rank-drop locus when the caller holds it, and is computed
-    after the trials otherwise.  When it has an exact entry of dimension at
+    only when needed otherwise.  When it has an exact entry of dimension at
     least 2, every trial would fail, so the certificate on its worst entry
-    is returned at once with trials_used 0.  Otherwise the trials come
-    first: float entries are not exact obstructions, and the trials are
-    much cheaper than the locus when a cyclic vector exists.
+    is returned at once with trials_used 0.
+
+    On exact generators each trial is decided over GF(p) (see
+    _first_cyclic): the first whose orbit is full there is the witness.
+    When none is, the locus is consulted before any elimination over Q(i):
+    an exact entry of dimension at least 2 ends the search, with
+    trials_used equal to trials.  Otherwise the trials are run again in G's
+    own field, as they are from the start on float generators and on exact
+    ones with no image over GF(p), and only then does the locus decide
+    between not_cyclic and undetermined.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if G.n == 1:
         return is_cyclic_vector(G, Matrix.identity(1, G.backend, G.tol).row(0))
-    if locus is not None and any(e.exact and e.dim_p >= 2 for e in locus):
+    if locus is not None and _has_exact_obstruction(locus):
         return _locus_certificate(locus, trials_used=0)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        b = sample_vector(G, rng)
-        if _vec_is_zero(b, G):
-            continue
-        cert = is_cyclic_vector(G, b)
-        if cert.is_cyclic:
-            cert.trials_used = t + 1
-            return cert
+    from . import hautus
+
+    @functools.cache
+    def draw(t):
+        b = sample_vector(G, _trial_rng(seed, t))
+        return None if _vec_is_zero(b, G) else b
+
+    gens_p = _gens_mod_p(G)
+    hit = None
+    if gens_p is not None:
+        hit = _first_cyclic(G, draw, trials, gens_p)
+        if hit is None:
+            if locus is None:
+                locus = hautus.rank_drop_locus(G)
+            if _has_exact_obstruction(locus):
+                return _locus_certificate(locus, trials_used=trials)
+    hit = hit or _first_cyclic(G, draw, trials)
+    if hit is not None:
+        t, b = hit
+        return CyclicityCertificate(CYCLIC, witness=b, orbit_dim=G.n, trials_used=t + 1)
     # no witness: look for a proof that none exists (with no generators the
     # empty tuple's full covector space is the obstruction)
     if locus is None:
-        from . import hautus
-
         locus = hautus.rank_drop_locus(G)
     return _locus_certificate(locus, trials_used=trials)
+
+
+def _has_exact_obstruction(locus):
+    """Whether the locus has an exact entry of dimension at least 2, which
+    proves that no single vector is cyclic."""
+    return any(e.exact and e.dim_p >= 2 for e in locus)
+
+
+def _first_cyclic(G, draw, trials, gens_p=None):
+    """(t, draw(t)) for the first trial t below trials whose draw, a vector
+    or a Subspace, has the whole space as its orbit; None when no trial's
+    has.  A draw of None is a skipped trial.
+
+    With gens_p, the images over GF(p) of G's exact generators, each trial
+    is decided there (_trial_full_mod_p): full proves full over Q(i), and a
+    trial short of full is passed over, not concluded to fail.  So the
+    witness is the first trial full over GF(p).  That is the first trial
+    full over Q(i) unless reduction mod p lowers the rank of an earlier
+    trial's full orbit.  Without gens_p each orbit is computed in G's own
+    field."""
+    for t in range(trials):
+        x = draw(t)
+        if x is None:
+            continue
+        if gens_p is not None:
+            full = _trial_full_mod_p(gens_p, x, G.n)
+        else:
+            B = x if isinstance(x, Subspace) else Subspace.from_vectors(G.n, [x], G.backend, G.tol)
+            full = _field_orbit(G, B).is_full()
+        if full:
+            return t, x
+    return None
+
+
+def _trial_full_mod_p(gens_p, x, n):
+    """One trial over GF(p): whether the orbit of x, a vector or a
+    Subspace, under the generators whose images are gens_p is the whole
+    n-space there."""
+    return _full_mod_p(gens_p, mod_p(x.basis if isinstance(x, Subspace) else [x]), n)
 
 
 def _locus_certificate(locus, trials_used):
@@ -442,6 +511,11 @@ def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0, *,
     G's rank-drop locus as passed in, or computed when it is not.  Subspaces
     are sampled from the bound up; the first cyclic one is the witness (the
     whole space always is), certified when it attains the bound.
+
+    On exact generators each batch of trials at dimension r is decided over
+    GF(p) first (see _first_cyclic), where a full orbit proves the subspace
+    cyclic.  A batch with no trial full there is run again in G's own field
+    before the search moves on to r + 1.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -455,15 +529,25 @@ def minimal_cyclic_dimension(G: GeneratorSet, trials=64, seed=0, *,
     trail.append(f"rank-drop locus: max common covector dimension {locus.max_drop}")
     solvable = hautus.is_solvable(G)
     trail.append(f"generated Lie algebra solvable: {solvable}")
+    gens_p = _gens_mod_p(G)
     for r in range(lower, n + 1):
-        for t in range(trials):
-            rng = _trial_rng(seed, r * 100_000 + t)
-            B = Subspace.full(n, G.backend, G.tol) if r == n else sample_subspace(G, r, rng)
-            if is_cyclic_subspace(G, B).is_cyclic:
-                trail.append(f"sampled cyclic subspace of dimension {r} (trial {t})")
-                return MinimalCyclicResult(
-                    r=r, witness=B, lower_bound=lower,
-                    certified=(r == lower), solvable=solvable, trail=trail,
-                )
+
+        @functools.cache
+        def draw(t):
+            if r == n:
+                return Subspace.full(n, G.backend, G.tol)
+            return sample_subspace(G, r, _trial_rng(seed, r * 100_000 + t))
+
+        # a batch that fails over GF(p) is run again in G's field before r
+        # is given up
+        hit = None if gens_p is None else _first_cyclic(G, draw, trials, gens_p)
+        hit = hit or _first_cyclic(G, draw, trials)
+        if hit is not None:
+            t, B = hit
+            trail.append(f"sampled cyclic subspace of dimension {r} (trial {t})")
+            return MinimalCyclicResult(
+                r=r, witness=B, lower_bound=lower,
+                certified=(r == lower), solvable=solvable, trail=trail,
+            )
         trail.append(f"no cyclic subspace sampled at dimension {r} ({trials} trials)")
     raise AssertionError("the whole space failed to be cyclic")

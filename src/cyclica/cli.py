@@ -76,7 +76,10 @@ def _make_config(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CYCLICA_SEED", "0"))
-    tol = ToleranceContext(args.tol_rank, args.tol_gap)  # rejects nonpositive values
+    try:
+        tol = ToleranceContext(args.tol_rank, args.tol_gap)
+    except ValueError as exc:  # a nonpositive tolerance is an input error
+        raise SchemaError("--tol-rank/--tol-gap", str(exc)) from None
     return {
         "seed": seed,
         "trials": args.trials,
@@ -315,11 +318,11 @@ def render_text(report):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _make_config(args)
     command = args.command
     if command == "mrb":
         command = f"mrb {args.mrb_command}"
     try:
+        config = _make_config(args)
         if command == "corpus":
             report = _envelope(command, config, *run_corpus(config))
             for case in report["result"]["cases"]:

@@ -38,7 +38,6 @@ from .linalg import (
     eigenvalues,
     is_negligible,
     kernel,
-    mod_p,
     mod_p_product,
 )
 from .linalg import _magnitude
@@ -219,7 +218,7 @@ def is_solvable(G) -> bool:
     """
     if G.m < 2:
         return True
-    if _trace_form_nonzero_mod_p(G):
+    if _trace_form_nonzero_mod_p(G, algebra._gens_mod_p(G)):
         return False
     # not closure(G), whose GF(p) pass would repeat the one just run
     S = algebra._field_closure(G).span.basis_matrix()
@@ -232,15 +231,15 @@ def is_solvable(G) -> bool:
     return True
 
 
-def _trace_form_nonzero_mod_p(G) -> bool:
-    """Whether some closure word w has tr([A_i, A_j] w) nonzero mod p;
-    False also when G has no image over GF(p)."""
-    words = algebra._mod_p_words(G, algebra._closure_seeds(G), G.n * G.n)
+def _trace_form_nonzero_mod_p(G, gens_p) -> bool:
+    """Whether some closure word w has tr([A_i, A_j] w) nonzero mod p, where
+    gens_p are the images of G's generators; False also when G has no image
+    over GF(p)."""
+    words = algebra._mod_p_words(gens_p, algebra._closure_seeds_mod_p(G, gens_p), G.n * G.n)
     if words is None:
         return False
-    gens = mod_p([A.data for A in G.gens])
     comms = [((mod_p_product(a, b) - mod_p_product(b, a)) % MOD_P).T.ravel()
-             for a, b in itertools.combinations(gens, 2)]
+             for a, b in itertools.combinations(gens_p, 2)]
     # residues below p and n^2 <= MOD_P_MAX_AMBIENT terms per trace: every
     # entry is one int64 dot product within the bound of ModPSpan.add
     traces = np.reshape(words, (len(words), -1)) @ np.transpose(comms) % MOD_P

@@ -33,7 +33,9 @@ in QQi; the factoring over Q(i) built on it lives in ``decomp``.
 Exact data also has an image over the prime field GF(p) (:func:`mod_p`,
 :class:`ModPSpan`).  Spans there are cheap and bound spans over Q(i) from
 below, so a span that is full over GF(p) is full over Q(i); nothing short of
-full is ever concluded from them.
+full is ever concluded from them.  Exact ``rank`` and ``kernel`` use this:
+a matrix of full rank over GF(p) has full rank, and with at least as many
+rows as columns the zero kernel, with no elimination over Q(i).
 
 Subspaces are kept in a canonical form (reduced row echelon, pivots
 normalized to 1, zero rows dropped) so two subspaces are equal exactly when
@@ -671,12 +673,34 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
+def _full_rank_mod_p(M: Matrix) -> bool:
+    """Whether the rows of the exact M span a space of dimension
+    min(rows, cols) over GF(p), which proves that rank over Q(i) (see
+    mod_p).  False when they fall short or M has no image over GF(p)."""
+    if M.cols > MOD_P_MAX_AMBIENT:
+        return False
+    rows = mod_p(M.data)
+    if rows is None:
+        return False
+    span = ModPSpan(M.cols)
+    target = min(M.rows, M.cols)
+    for row in rows:
+        if span.dim == target:
+            break
+        span.add(row)
+    return span.dim == target
+
+
 def rank(M: Matrix) -> int:
-    """Row rank; the float backend thresholds singular values at
+    """Row rank.  An exact M whose image over GF(p) has full rank has full
+    rank, with no elimination over Q(i); any other exact rank comes from
+    elimination over Q(i).  The float backend thresholds singular values at
     tau_rank relative to the largest one."""
     if M.rows == 0 or M.cols == 0:
         return 0
     if M.backend == EXACT:
+        if _full_rank_mod_p(M):
+            return min(M.rows, M.cols)
         sb = SpanBuilder(M.cols, EXACT)
         sb.add_all(M.row_vectors())
         return sb.dim
@@ -687,20 +711,14 @@ def rank(M: Matrix) -> int:
 
 
 def kernel(M: Matrix) -> Subspace:
-    """Canonical right kernel {v : Mv = 0}."""
+    """Canonical right kernel {v : Mv = 0}.  An exact M with at least as
+    many rows as columns whose image over GF(p) has rank cols has the zero
+    kernel, decided without elimination over Q(i); every other exact kernel
+    is read off the reduced row echelon form over Q(i)."""
     if M.backend == EXACT:
-        sb = SpanBuilder(M.cols, EXACT)
-        sb.add_all(M.row_vectors())
-        pivots = set(sb.pivots)
-        free = [j for j in range(M.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [QQI_ZERO] * M.cols
-            v[f] = QQI_ONE
-            for row, p in zip(sb.rows, sb.pivots):
-                v[p] = -row[f]
-            basis.append(tuple(v))
-        return Subspace.from_vectors(M.cols, basis, EXACT)
+        if M.rows >= M.cols and _full_rank_mod_p(M):
+            return Subspace.zero(M.cols, EXACT)
+        return _field_kernel(M)
     if M.rows == 0:
         return Subspace.full(M.cols, FLOAT, M.tol)
     u, s, vh = np.linalg.svd(M.data, full_matrices=True)
@@ -708,6 +726,22 @@ def kernel(M: Matrix) -> Subspace:
     r = int(np.sum(s > cutoff))
     return Subspace.from_vectors(M.cols, [vh[i].conj() for i in range(r, M.cols)],
                                  FLOAT, M.tol)
+
+
+def _field_kernel(M: Matrix) -> Subspace:
+    """kernel of an exact M computed over Q(i), read off its reduced row
+    echelon form."""
+    sb = SpanBuilder(M.cols, EXACT)
+    sb.add_all(M.row_vectors())
+    pivots = set(sb.pivots)
+    basis = []
+    for f in (j for j in range(M.cols) if j not in pivots):
+        v = [QQI_ZERO] * M.cols
+        v[f] = QQI_ONE
+        for row, p in zip(sb.rows, sb.pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return Subspace.from_vectors(M.cols, basis, EXACT)
 
 
 def annihilator(S: Subspace) -> Subspace:
@@ -888,9 +922,9 @@ def min_poly(A: Matrix) -> Polynomial:
     while sb.add(powers[-1].flatten()):
         powers.append(powers[-1] @ A)
     # the last power is the first that depends on the earlier ones, so the
-    # kernel of the stacked powers is one line: the minimal polynomial's
-    # coefficients up to scale
-    relation = kernel(Matrix.from_cols([P.flatten() for P in powers], EXACT))
+    # kernel of the stacked powers is one line, never zero, and no GF(p)
+    # pass can decide it: the minimal polynomial's coefficients up to scale
+    relation = _field_kernel(Matrix.from_cols([P.flatten() for P in powers], EXACT))
     return Polynomial(relation.basis[0], EXACT).monic()
 
 

@@ -5,6 +5,20 @@ from cyclica.linalg import EXACT, Matrix
 from cyclica.scalars import QQi
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call appends its positional arguments
+    to the returned list, then runs the original."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def rng(seed):
     return np.random.default_rng(seed)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_calls,
     doubled_triangular_family,
     random_exact_matrix,
     random_exact_vector,
@@ -29,7 +30,7 @@ from cyclica.algebra import (
     vector_orbit,
 )
 from cyclica.hautus import is_solvable, rank_drop_locus
-from cyclica.linalg import Matrix, SpanBuilder, Subspace, kernel, rank
+from cyclica.linalg import MOD_P, Matrix, SpanBuilder, Subspace, kernel, rank
 from cyclica.mrb import InertiaSpec, axis_operator
 from cyclica.scalars import QQi
 
@@ -461,10 +462,7 @@ def test_locus_keyword_changes_no_result():
 
 
 def test_exact_obstruction_in_the_locus_skips_the_trials(monkeypatch):
-    calls = []
-    original = algebra.is_cyclic_vector
-    monkeypatch.setattr(algebra, "is_cyclic_vector",
-                        lambda G, b: calls.append(b) or original(G, b))
+    calls = count_calls(monkeypatch, algebra, "_trial_full_mod_p")
     G = GeneratorSet(3, [E12, E13])
     cert = find_cyclic_vector(G, trials=8, seed=0, locus=rank_drop_locus(G))
     assert cert.verdict == NOT_CYCLIC and cert.trials_used == 0 and cert.recheck(G)
@@ -477,3 +475,35 @@ def test_exact_obstruction_in_the_locus_skips_the_trials(monkeypatch):
     cert = find_cyclic_vector(G, trials=8, seed=0, locus=locus)
     assert cert.verdict == NOT_CYCLIC and cert.trials_used == 8
     assert len(calls) == 8
+
+
+# diag(1, 1 + p) has two eigenvalues over Q and one mod p, where no vector is
+# cyclic; (a, b) with ab != 0 is cyclic over Q
+DIAG_1_1P = Matrix.exact([[1, 0], [0, 1 + MOD_P]])
+
+
+def test_trials_short_of_full_mod_p_are_rerun_in_the_field():
+    G = GeneratorSet(2, [DIAG_1_1P])
+    cert = find_cyclic_vector(G, trials=8, seed=0)
+    assert cert.verdict == CYCLIC and cert.trials_used == 1 and cert.recheck(G)
+    res = minimal_cyclic_dimension(G, trials=8, seed=0)
+    assert (res.r, res.lower_bound, res.certified) == (1, 1, True)
+    assert is_cyclic_subspace(G, res.witness).is_cyclic
+
+
+def test_obstructed_trials_take_no_field_orbit(monkeypatch):
+    r = rng(7)
+    for k, m in ((2, 2), (3, 2), (2, 3)):
+        G = GeneratorSet(2 * k, doubled_triangular_family(r, k, m)[0])
+        worst = rank_drop_locus(G).worst_entry()
+        assert worst.exact and worst.dim_p >= 2
+        orbits = count_calls(monkeypatch, algebra, "_field_orbit")
+        annihilators = count_calls(monkeypatch, algebra, "annihilator")
+        cert = find_cyclic_vector(G, trials=16, seed=0)
+        assert orbits == [] and annihilators == []
+        assert cert.verdict == NOT_CYCLIC and cert.trials_used == 16
+        assert cert.witness is None and cert.obstruction_covector is None
+        mu, P = cert.obstruction_locus
+        assert _same(mu, worst.mu) and _same(P, worst.covectors)
+        monkeypatch.undo()
+        assert cert.recheck(G)

@@ -99,6 +99,13 @@ def test_input_error_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-gap"])
+def test_nonpositive_tolerance_is_an_input_error(capsys, flag):
+    code, out, err = run_cli(capsys, ["closure", "--input", json.dumps(GENS_SL2), flag, "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("input error: ") and "tolerances must be positive" in err
+
+
 def test_bad_json_exits_1(capsys):
     code, _, err = run_cli(capsys, ["closure", "--input", "{not json"])
     assert code == 1

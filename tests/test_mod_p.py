@@ -15,7 +15,8 @@ from cyclica.algebra import (
     closure,
     orbit,
 )
-from cyclica.linalg import MOD_P, Matrix, ModPSpan, SpanBuilder, Subspace, mod_p
+from cyclica import linalg
+from cyclica.linalg import MOD_P, Matrix, ModPSpan, SpanBuilder, Subspace, kernel, mod_p, rank
 from cyclica.scalars import QQi
 
 
@@ -161,3 +162,54 @@ def test_mod_p_span_rejects_ambient_sizes_that_could_overflow():
     with pytest.raises(ValueError):
         ModPSpan(2**11 + 1)
     assert np.iinfo(np.int64).max > 2**11 * (MOD_P - 1) ** 2
+
+
+def _rank_kernel_matrices():
+    """Integer, rational and Gaussian-rational matrices of several shapes,
+    rank-deficient ones among them (products through a narrower space), and
+    two whose image over GF(p) is short of full or missing."""
+    r = rng(19)
+
+    def rational(rows, cols):
+        num = r.integers(-4, 5, size=(rows, cols))
+        den = r.integers(1, 5, size=(rows, cols))
+        return Matrix.exact([[Fraction(int(a), int(b)) for a, b in zip(nr, dr)]
+                             for nr, dr in zip(num, den)])
+
+    def gaussian(rows, cols):
+        re = r.integers(-3, 4, size=(rows, cols))
+        im = r.integers(-2, 3, size=(rows, cols))
+        den = r.integers(1, 4, size=(rows, cols))
+        return Matrix.exact([[QQi(Fraction(int(re[i, j]), int(den[i, j])), int(im[i, j]))
+                              for j in range(cols)] for i in range(rows)])
+
+    def integer(rows, cols):
+        return random_exact_matrix(r, rows, cols)
+
+    for make in (integer, rational, gaussian):
+        for rows, cols in ((3, 3), (5, 3), (3, 5), (6, 6), (8, 4)):
+            yield make(rows, cols)
+        for rows, inner, cols in ((4, 2, 4), (6, 3, 4), (5, 4, 5), (3, 1, 3)):
+            yield make(rows, inner) @ make(inner, cols)
+    # full over Q, singular mod p
+    yield Matrix.exact([[1, 0], [0, MOD_P]])
+    # no image mod p
+    yield Matrix.exact([[1, Fraction(1, MOD_P)], [2, 3], [0, 1]])
+
+
+def test_rank_and_kernel_match_elimination_over_qi(monkeypatch):
+    matrices = list(_rank_kernel_matrices())
+    shortcut = [linalg._full_rank_mod_p(M) for M in matrices]
+    got = [(rank(M), kernel(M)) for M in matrices]
+    # the same matrices with GF(p) deciding nothing: SpanBuilder elimination
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", lambda M: False)
+    want = [(rank(M), kernel(M)) for M in matrices]
+    for M, (rk, K), (rk_want, K_want) in zip(matrices, got, want):
+        assert rk == rk_want and K == K_want, M
+    # GF(p) decided every full rank of the random matrices and none short
+    # of full; the last two are full but not decided there
+    full = [rk == min(M.rows, M.cols) for M, (rk, _) in zip(matrices, got)]
+    assert shortcut[:-2] == full[:-2] and any(full) and not all(full)
+    assert shortcut[-2:] == [False, False]
+    assert [rk for rk, _ in got[-2:]] == [2, 2]
+    assert all(K.is_zero() for _, K in got[-2:])

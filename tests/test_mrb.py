@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import count_calls, rng
 from cyclica import algebra, hautus
 from cyclica.algebra import GeneratorSet, find_cyclic_vector, single_generator_cyclic
 from cyclica.decomp import multiplicity_condition
@@ -268,40 +268,35 @@ def test_analyze_disjoint_axes():
 
 
 def _count_analysis_calls(monkeypatch, d):
-    """Record rank_drop_locus and is_cyclic_vector calls, and closures in
-    G's own field of a generator set acting on all of so(n) (dimension d)."""
-    calls = {"locus": 0, "trials": 0, "full_field_closure": 0}
-
-    def counted(module, name, key, applies=lambda G: True):
-        original = getattr(module, name)
-
-        def wrapper(G, *args, **kwargs):
-            calls[key] += applies(G)
-            return original(G, *args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(hautus, "rank_drop_locus", "locus")
-    counted(algebra, "is_cyclic_vector", "trials")
-    counted(algebra, "_field_closure", "full_field_closure", lambda G: G.n == d)
-    return calls
+    """Record rank_drop_locus calls, cyclic-vector trials over GF(p) and
+    closures in G's own field of a generator set acting on all of so(n)
+    (dimension d); the returned function reads the counts so far."""
+    locus = count_calls(monkeypatch, hautus, "rank_drop_locus")
+    trials = count_calls(monkeypatch, algebra, "_trial_full_mod_p")
+    closures = count_calls(monkeypatch, algebra, "_field_closure")
+    # a trial of find_cyclic_vector draws a vector, one of
+    # minimal_cyclic_dimension a Subspace
+    return lambda: {"locus": len(locus),
+                    "trials": sum(not isinstance(x, Subspace) for _, x, _ in trials),
+                    "full_field_closure": sum(G.n == d for G, *_ in closures)}
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_analyze_disjoint_axes_reuses_the_locus_and_runs_no_trials(monkeypatch, n):
     C = InertiaSpec(n, list(range(1, n + 1)))
-    calls = _count_analysis_calls(monkeypatch, C.so_dim)
+    counts = _count_analysis_calls(monkeypatch, C.so_dim)
     rep = analyze(MrbSystem(C, axes=[(1, 2), (3, 4)]), trials=64, seed=0)
     assert rep.verdict == "no_single_direction" and not rep.design.solvable
     # one locus for every phase; its exact obstruction replaces the trials,
     # and non-solvability is certified without the closure over Q(i)
-    assert calls == {"locus": 1, "trials": 0, "full_field_closure": 0}
+    assert counts() == {"locus": 1, "trials": 0, "full_field_closure": 0}
 
 
 def test_analyze_adjacent_axes_finds_its_witness_by_trials(monkeypatch):
-    calls = _count_analysis_calls(monkeypatch, C4.so_dim)
+    counts = _count_analysis_calls(monkeypatch, C4.so_dim)
     rep = analyze(MrbSystem(C4, axes=[(1, 2), (2, 3)]), trials=64, seed=0)
     assert rep.verdict == "reachable_with_additional_control"
-    assert calls["locus"] == 1 and calls["trials"] >= 1
+    assert counts()["locus"] == 1 and counts()["trials"] >= 1
 
 
 def test_analyze_full_control_trivial():
